@@ -55,16 +55,20 @@ def merge_tracks(a: TrackSet, b: TrackSet) -> TrackSet:
 
 # --- cube helpers ------------------------------------------------------------
 
-def cube_and(a: str, b: str) -> Optional[str]:
-    if a == b:
-        return a
-    out = []
-    for ca, cb in zip(a, b):
-        if ca == "X":
-            out.append(cb)
-        elif cb == "X" or cb == ca:
-            out.append(ca)
-        else:
+def cube_overlay(cube: str, other: str, cols: Sequence[int]) -> Optional[str]:
+    """Intersection of ``cube`` with ``other`` laid onto its columns ``cols``.
+
+    Column ``cols[i]`` of the result must match both ``other[i]`` and the
+    cube's own character there; None when no symbol matches both.
+    """
+    out = list(cube)
+    for ch, col in zip(other, cols):
+        if ch == "X":
+            continue
+        cur = out[col]
+        if cur == "X":
+            out[col] = ch
+        elif cur != ch:
             return None
     return "".join(out)
 
@@ -161,7 +165,7 @@ class Dfa:
                     raise ValueError(f"dangling transition {state} -> {dst}")
                 covered += 1 << cube.count("X")
                 for other, _ in edges[i + 1:]:
-                    if cube_and(cube, other) is not None:
+                    if cube_overlay(cube, other, range(self.width)) is not None:
                         raise ValueError(f"overlapping cubes at state {state}")
             if covered != full:
                 raise ValueError(f"state {state} covers {covered}/{full} symbols")
@@ -214,21 +218,25 @@ def nfa_accepts(n: Nfa, word: Sequence[Symbol]) -> bool:
     return bool(states & n.accepting)
 
 
+def _reaching(targets: Iterable[int], preds: Sequence[set[int]]) -> set[int]:
+    """``targets`` and every state with a path into them, along ``preds``."""
+    found = set(targets)
+    stack = list(found)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
 def coreachable(a: Dfa) -> frozenset[int]:
     """States from which some accepting state can be reached."""
     preds: list[set[int]] = [set() for _ in range(a.num_states)]
     for src, edges in enumerate(a.delta):
         for _, dst in edges:
             preds[dst].add(src)
-    alive = set(a.accepting)
-    stack = list(alive)
-    while stack:
-        s = stack.pop()
-        for p in preds[s]:
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-    return frozenset(alive)
+    return frozenset(_reaching(a.accepting, preds))
 
 
 # --- boolean and structural operations ---------------------------------------
@@ -272,7 +280,7 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
         for ca, da in a.delta[pa]:
             wa = cube_widen(ca, a_pos, width)
             for cb, db in b.delta[pb]:
-                cube = cube_and(wa, cube_widen(cb, b_pos, width))
+                cube = cube_overlay(wa, cb, b_pos)
                 if cube is None:
                     continue
                 target = (da, db)
@@ -309,14 +317,7 @@ def project(a: Dfa, track_index: int) -> Nfa:
             if "1" not in cube:
                 for dst in dsts:
                     zero_preds[dst].add(src)
-    accepting = set(a.accepting)
-    stack = list(accepting)
-    while stack:
-        s = stack.pop()
-        for p in zero_preds[s]:
-            if p not in accepting:
-                accepting.add(p)
-                stack.append(p)
+    accepting = _reaching(a.accepting, zero_preds)
     return Nfa(tracks, a.num_states, a.initial, frozenset(accepting), delta)
 
 
@@ -391,14 +392,11 @@ def minimize(a: Dfa) -> Dfa:
         block_edges[b] = [(c, v) for c, v in _region_map(edges, a.width, union=False)]
     accepting_blocks = {block[s] for s in states if s in a.accepting}
 
-    alive: set[int] = set(accepting_blocks)
-    changed = True
-    while changed:
-        changed = False
-        for b, edges in block_edges.items():
-            if b not in alive and any(dst in alive for _, dst in edges):
-                alive.add(b)
-                changed = True
+    block_preds: list[set[int]] = [set() for _ in block_edges]  # blocks are 0..n-1
+    for b, edges in block_edges.items():
+        for _, dst in edges:
+            block_preds[dst].add(b)
+    alive = _reaching(accepting_blocks, block_preds)
 
     bfs = [block[a.initial]]
     visited = {block[a.initial]}

@@ -13,6 +13,7 @@ from .stream import (
     INCREMENTAL,
     StepReport,
     StreamSession,
+    budget_caps,
     from_scratch_check,
 )
 from .syntax import Exists, Formula, In, Kind, VarId
@@ -64,8 +65,7 @@ class BenchConfig:
     modes: tuple[str, ...] = (INCREMENTAL, FROM_SCRATCH)
     repetitions: int = 1
     out_path: str | None = None
-    seed: int = 0  # reserved; both families are deterministic
-    state_budget: int | None = None
+    state_budget: int | None = None  # caps exploration and determinization alike
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -79,12 +79,13 @@ class BenchConfig:
             raise ValueError(f"invalid modes {self.modes}")
 
 
-def _run_mode(mode: str, formulas: Sequence[Formula], state_budget: int | None) -> list[StepReport]:
-    budget = {} if state_budget is None else {"state_budget": state_budget}
+def _run_mode(mode: str, formulas: Sequence[Formula], budget: int | None) -> list[StepReport]:
+    explore, determinize = budget_caps(budget)
     if mode == INCREMENTAL:
-        session = StreamSession(**budget)
+        session = StreamSession(state_budget=explore, determinize_budget=determinize)
         return [session.push(f) for f in formulas]
-    _, reports = from_scratch_check(formulas, **budget)
+    _, reports = from_scratch_check(formulas, state_budget=explore,
+                                    determinize_budget=determinize)
     return reports
 
 
@@ -133,19 +134,11 @@ def run_bench(cfg: BenchConfig) -> list[dict]:
                 rows.append(row)
                 per_mode_step.setdefault((mode, r.step), []).append(row)
 
-    for (mode, step), reps in sorted(per_mode_step.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        rows.append({
-            "family": cfg.family,
-            "mode": mode,
-            "step": step,
-            "rep": "median",
-            "compile_ms": round(statistics.median(r["compile_ms"] for r in reps), 3),
-            "process_ms": round(statistics.median(r["process_ms"] for r in reps), 3),
-            "cum_total_ms": round(statistics.median(r["cum_total_ms"] for r in reps), 3),
-            "explored_step": reps[0]["explored_step"],
-            "explored_total": reps[0]["explored_total"],
-            "verdict": reps[0]["verdict"],
-        })
+    for _, reps in sorted(per_mode_step.items()):
+        # counters and verdicts are the same in every repetition
+        timings = {key: round(statistics.median(r[key] for r in reps), 3)
+                   for key in ("compile_ms", "process_ms", "cum_total_ms")}
+        rows.append(dict(reps[0], rep="median", **timings))
 
     if cfg.out_path is not None:
         with open(cfg.out_path, "w", newline="") as fh:

@@ -3,7 +3,8 @@
 Exit codes: 0 all steps verdicted, 2 parse or kind error, 3 budget
 exceeded, 4 incremental vs from-scratch disagreement.  The environment
 variable ``WS1S_STATE_BUDGET`` overrides both the session exploration
-cap and the determinization cap.
+cap and the determinization cap in every subcommand; it must be a
+positive integer, otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import TextIO
 
 from . import __version__
@@ -29,7 +31,7 @@ from .errors import (
     WsError,
 )
 from .oracle import sat_bounded
-from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession
+from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession, budget_caps
 from .syntax import free_vars, parse
 
 EXIT_OK = 0
@@ -42,32 +44,37 @@ _BUDGET_ERRORS = (StateBudgetExceeded, EnumerationBudgetExceeded)
 
 
 def _state_budget() -> int | None:
+    """``WS1S_STATE_BUDGET``, or None when it is unset or empty."""
     raw = os.environ.get("WS1S_STATE_BUDGET")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        budget = int(raw)
+        if budget > 0:
+            return budget
+    except ValueError:
+        pass
+    raise WsError(f"WS1S_STATE_BUDGET must be a positive integer, not {raw!r}")
 
 
 def _session() -> StreamSession:
-    budget = _state_budget()
-    kwargs = {}
-    if budget is not None:
-        kwargs["state_budget"] = budget
-        kwargs["determinize_budget"] = budget
-    return StreamSession(**kwargs)
+    explore, determinize = budget_caps(_state_budget())
+    return StreamSession(state_budget=explore, determinize_budget=determinize)
 
 
 def _compile_once(text: str, no_memo: bool):
+    """The formula's automaton and the registry that names its tracks."""
     formula = parse(text)
     registry = TrackRegistry()
     for v in free_vars(formula):
         registry.register(v)
     cache = None if no_memo else MemoCache()
-    budget = _state_budget()
-    kwargs = {} if budget is None else {"determinize_budget": budget}
-    return formula, compile_formula(formula, registry, cache, **kwargs), registry
+    _, determinize = budget_caps(_state_budget())
+    return compile_formula(formula, registry, cache, determinize_budget=determinize), registry
 
 
 def cmd_check(args) -> int:
-    _, dfa, registry = _compile_once(args.formula, no_memo=False)
+    dfa, registry = _compile_once(args.formula, no_memo=False)
     witness = find_witness(dfa)
     if witness is None:
         print("unsat")
@@ -79,7 +86,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    _, dfa, _ = _compile_once(args.formula, no_memo=args.no_memo)
+    dfa, _ = _compile_once(args.formula, no_memo=args.no_memo)
     text = dump(dfa)
     if args.dump_automaton:
         with open(args.dump_automaton, "w") as fh:
@@ -146,14 +153,11 @@ def stream_command(
 
 
 def cmd_stream(args) -> int:
-    if args.input and args.input != "-":
-        with open(args.input) as fh:
-            return stream_command(fh, sys.stdout, sys.stderr,
-                                  skip_bad_lines=args.skip_bad_lines,
-                                  log_jsonl=args.log == "jsonl")
-    return stream_command(sys.stdin, sys.stdout, sys.stderr,
-                          skip_bad_lines=args.skip_bad_lines,
-                          log_jsonl=args.log == "jsonl")
+    from_file = args.input and args.input != "-"
+    with open(args.input) if from_file else nullcontext(sys.stdin) as fh:
+        return stream_command(fh, sys.stdout, sys.stderr,
+                              skip_bad_lines=args.skip_bad_lines,
+                              log_jsonl=args.log == "jsonl")
 
 
 def cmd_bench(args) -> int:
@@ -238,18 +242,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _BUDGET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ModeDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
     except WsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, _BUDGET_ERRORS):
+            return EXIT_BUDGET
+        return EXIT_DISAGREEMENT if isinstance(exc, ModeDisagreement) else EXIT_PARSE
 
 
 if __name__ == "__main__":

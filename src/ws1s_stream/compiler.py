@@ -43,6 +43,7 @@ from .syntax import (
     VarId,
     free_vars,
     normalize,
+    operands,
     validate_kinds,
 )
 
@@ -95,9 +96,6 @@ class TrackRegistry:
     def name_of(self, index: int) -> str:
         return self._names[index]
 
-    def registered(self) -> dict[str, tuple[int, Kind]]:
-        return dict(self._free)
-
 
 class MemoCache:
     """Formula-structure keyed cache of compiled automata.
@@ -123,8 +121,8 @@ class MemoCache:
     def put(self, key: str, value: Dfa) -> None:
         self._table[key] = value
 
-    def __len__(self) -> int:
-        return len(self._table)
+
+_ATOM_TAG = {In: "in", Sub: "sub", Less: "lt", Succ: "succ", EqFo: "eq"}
 
 
 def _key(f: Formula, env: dict[str, int], bound: set[str]) -> str:
@@ -133,16 +131,9 @@ def _key(f: Formula, env: dict[str, int], bound: set[str]) -> str:
             return v.name
         return f"@{env[v.name]}"
 
-    if isinstance(f, In):
-        return f"in({name(f.x)},{name(f.y)})"
-    if isinstance(f, Sub):
-        return f"sub({name(f.y)},{name(f.z)})"
-    if isinstance(f, Less):
-        return f"lt({name(f.x)},{name(f.y)})"
-    if isinstance(f, Succ):
-        return f"succ({name(f.x)},{name(f.y)})"
-    if isinstance(f, EqFo):
-        return f"eq({name(f.x)},{name(f.y)})"
+    if isinstance(f, ATOM_TYPES):
+        a, b = operands(f)
+        return f"{_ATOM_TAG[type(f)]}({name(a)},{name(b)})"
     if isinstance(f, Not):
         return f"~{_key(f.body, env, bound)}"
     if isinstance(f, And):
@@ -169,12 +160,9 @@ def restriction_automaton(track: int) -> Dfa:
     })
 
 
-def _universal(tracks) -> Dfa:
-    return make_dfa(tracks, 1, 0, {0}, {0: [("X" * len(tracks), 0)]})
-
-
-def _empty(tracks) -> Dfa:
-    return make_dfa(tracks, 1, 0, set(), {0: [("X" * len(tracks), 0)]})
+def _constant(tracks, accept: bool) -> Dfa:
+    """One state that accepts every word, or none."""
+    return make_dfa(tracks, 1, 0, {0} if accept else set(), {0: [("X" * len(tracks), 0)]})
 
 
 def compile_atom(atom, env: dict[str, int]) -> Dfa:
@@ -185,10 +173,7 @@ def compile_atom(atom, env: dict[str, int]) -> Dfa:
     the x bit without the Y bit (vacuously including the empty word).
     """
     validate_kinds(atom)
-    if isinstance(atom, Sub):
-        a, b = atom.y, atom.z
-    else:
-        a, b = atom.x, atom.y
+    a, b = operands(atom)
     for v in (a, b):
         if v.name not in env:
             raise UnboundTrack(f"no track bound for {v.name}")
@@ -196,9 +181,8 @@ def compile_atom(atom, env: dict[str, int]) -> Dfa:
 
     if ta == tb:
         tracks = make_tracks([(ta, a.kind)])
-        if isinstance(atom, (EqFo, Sub)):
-            return _universal(tracks)  # x = x, Y sub Y
-        return _empty(tracks)          # x < x, x = x + 1
+        # x = x and Y sub Y always hold, x < x and x = x + 1 never do
+        return _constant(tracks, isinstance(atom, (EqFo, Sub)))
 
     track_list = sorted([(ta, a.kind), (tb, b.kind)])
     tracks = make_tracks(track_list)
@@ -207,13 +191,8 @@ def compile_atom(atom, env: dict[str, int]) -> Dfa:
     def cube(bit_a: str, bit_b: str) -> str:
         return bit_a + bit_b if pos_a == 0 else bit_b + bit_a
 
-    if isinstance(atom, In):
-        # whenever the x bit is set, the Y bit must be set too
-        return make_dfa(tracks, 2, 0, {0}, {
-            0: [(cube("0", "X"), 0), (cube("1", "1"), 0), (cube("1", "0"), 1)],
-            1: [("XX", 1)],
-        })
-    if isinstance(atom, Sub):
+    if isinstance(atom, (In, Sub)):
+        # whenever the first variable's bit is set, the second's must be too
         return make_dfa(tracks, 2, 0, {0}, {
             0: [(cube("0", "X"), 0), (cube("1", "1"), 0), (cube("1", "0"), 1)],
             1: [("XX", 1)],

@@ -21,21 +21,25 @@ everything seen so far.
 
 Verdicts are monotone (a conjunction can only lose models), so after
 the first unsat step the session short-circuits exploration and keeps
-answering unsat while still recording compile times.
+answering unsat while still appending components and recording compile
+times.  The from-scratch baseline runs the same compile-and-search path
+on a fresh session per prefix.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .automata import (
+    DEFAULT_DETERMINIZE_BUDGET,
     Dfa,
     TrackSet,
     Witness,
     coreachable,
     cube_min_symbol,
+    cube_overlay,
     merge_tracks,
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
@@ -98,19 +102,6 @@ class _Component:
         self.coreachable = coreachable(dfa)
 
 
-def _overlay(cube: str, comp_cube: str, cols: tuple[int, ...]) -> Optional[str]:
-    out = list(cube)
-    for ch, col in zip(comp_cube, cols):
-        if ch == "X":
-            continue
-        cur = out[col]
-        if cur == "X":
-            out[col] = ch
-        elif cur != ch:
-            return None
-    return "".join(out)
-
-
 def _edge_order(edge: tuple[str, tuple]) -> tuple:
     return (cube_min_symbol(edge[0]), edge[0])
 
@@ -142,6 +133,19 @@ class ProductExplorer:
         self.widths.append(len(union))
         self.root = self.root + (dfa.initial,)
 
+    def drop_components(self, keep: int) -> None:
+        """Undo every ``add_component`` after the first ``keep``.
+
+        Nodes above arity ``keep`` go too: only searches run after those
+        additions can have created them.
+        """
+        del self.components[keep:]
+        del self.widths[keep + 1:]
+        self.union_tracks = self.union_tracks[: self.widths[-1]]
+        self.root = self.root[:keep]
+        for t in [t for t in self.nodes if len(t) > keep]:
+            del self.nodes[t]
+
     # -- successor derivation ---------------------------------------------
 
     def _edges_for(self, t: tuple) -> tuple[tuple[str, tuple], ...]:
@@ -171,7 +175,7 @@ class ProductExplorer:
                 for comp_cube, dst in comp.dfa.delta[t[i]]:
                     if dst not in comp.coreachable:
                         continue
-                    merged = _overlay(cube, comp_cube, comp.cols)
+                    merged = cube_overlay(cube, comp_cube, comp.cols)
                     if merged is not None:
                         grown.append((merged, target + (dst,)))
             edges = grown
@@ -263,60 +267,74 @@ class StreamSession:
         cache: MemoCache | None = None,
         *,
         state_budget: int = DEFAULT_SESSION_BUDGET,
-        determinize_budget: int | None = None,
+        determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
     ):
         if state_budget <= 0:
             raise ValueError("state budget must be positive")
         self.registry = registry if registry is not None else TrackRegistry()
         self.cache = cache if cache is not None else MemoCache()
         self.explorer = ProductExplorer()
-        self.components: list[Dfa] = []
-        self.verdicts: list[StepVerdict] = []
         self.reports: list[StepReport] = []
         self.state_budget = state_budget
         self.determinize_budget = determinize_budget
-        self._explored_total = 0
-        self._unsat = False
+
+    @property
+    def components(self) -> list[Dfa]:
+        """The compiled conjuncts, in push order."""
+        return [comp.dfa for comp in self.explorer.components]
+
+    @property
+    def verdicts(self) -> list[StepVerdict]:
+        return [r.verdict for r in self.reports]
 
     @property
     def step(self) -> int:
-        return len(self.components)
+        return len(self.explorer.components)
 
     def current_verdict(self) -> StepVerdict:
-        if self.verdicts:
-            return self.verdicts[-1]
+        if self.reports:
+            return self.reports[-1].verdict
         return StepVerdict(0, "sat", [])  # empty conjunction
 
     def push(self, f: Formula) -> StepReport:
         """Add one conjunct and decide satisfiability of the conjunction so far."""
-        for v in free_vars(f):
-            self.registry.register(v)
-        kwargs = {}
-        if self.determinize_budget is not None:
-            kwargs["determinize_budget"] = self.determinize_budget
+        return self._conjoin([f], INCREMENTAL)
+
+    def _conjoin(self, formulas: Sequence[Formula], mode: str) -> StepReport:
+        """Compile ``formulas`` into new components, then decide the conjunction.
+
+        A compile or search that raises leaves components, reports and
+        explored nodes as they were; the registry and the memo cache keep
+        what the attempt added to them.
+        """
+        for f in formulas:
+            for v in free_vars(f):
+                self.registry.register(v)
         t0 = time.perf_counter_ns()
-        dfa = compile_formula(f, self.registry, self.cache, **kwargs)
+        dfas = [compile_formula(f, self.registry, self.cache,
+                                determinize_budget=self.determinize_budget)
+                for f in formulas]
         compile_ns = time.perf_counter_ns() - t0
 
-        step = len(self.components) + 1
-        if self._unsat:
-            self.components.append(dfa)
-            verdict = StepVerdict(step, "unsat", None)
-            report = StepReport(step, INCREMENTAL, compile_ns, 0, 0,
-                                self._explored_total, -1, verdict)
-        else:
-            t1 = time.perf_counter_ns()
-            self.explorer.add_component(dfa)
-            partial, explored, max_depth = self.explorer.search(self.state_budget)
-            process_ns = time.perf_counter_ns() - t1
-            self.components.append(dfa)
-            verdict = StepVerdict(step, partial.status, partial.witness)
-            if verdict.status == "unsat":
-                self._unsat = True
-            self._explored_total += explored
-            report = StepReport(step, INCREMENTAL, compile_ns, process_ns, explored,
-                                self._explored_total, max_depth, verdict)
-        self.verdicts.append(verdict)
+        kept = self.step
+        searching = self.current_verdict().is_sat  # after unsat, nothing to search
+        t1 = time.perf_counter_ns()
+        try:
+            for dfa in dfas:
+                self.explorer.add_component(dfa)
+            if searching:
+                partial, explored, max_depth = self.explorer.search(self.state_budget)
+            else:
+                partial, explored, max_depth = StepVerdict(0, "unsat", None), 0, -1
+        except BaseException:
+            self.explorer.drop_components(kept)
+            raise
+        process_ns = time.perf_counter_ns() - t1 if searching else 0
+
+        total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
+        verdict = StepVerdict(self.step, partial.status, partial.witness)
+        report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
+                            max_depth, verdict)
         self.reports.append(report)
         return report
 
@@ -328,41 +346,33 @@ class StreamSession:
         return [dict(zip(names, symbol)) for symbol in verdict.witness]
 
 
+def budget_caps(budget: int | None) -> tuple[int, int]:
+    """Exploration and determinization caps from one optional budget that
+    bounds both, as ``WS1S_STATE_BUDGET`` does; None keeps the defaults."""
+    if budget is None:
+        return DEFAULT_SESSION_BUDGET, DEFAULT_DETERMINIZE_BUDGET
+    return budget, budget
+
+
 def from_scratch_check(
     formulas: Sequence[Formula],
     *,
     state_budget: int = DEFAULT_SESSION_BUDGET,
-    determinize_budget: int | None = None,
+    determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
 ) -> tuple[StepVerdict, list[StepReport]]:
     """The naive baseline: for every prefix, recompile everything and search
-    the product from its initial state, reusing nothing across prefixes."""
+    the product from its initial state, reusing nothing across prefixes.
+
+    Each prefix takes the session's own compile-and-search path, on a
+    fresh session; only the explored-state total runs across prefixes.
+    """
     reports: list[StepReport] = []
-    explored_total = 0
-    kwargs = {}
-    if determinize_budget is not None:
-        kwargs["determinize_budget"] = determinize_budget
     for i in range(1, len(formulas) + 1):
-        prefix = formulas[:i]
-        registry = TrackRegistry()
-        cache = MemoCache()
-        for f in prefix:
-            for v in free_vars(f):
-                registry.register(v)
-        t0 = time.perf_counter_ns()
-        dfas = [compile_formula(f, registry, cache, **kwargs) for f in prefix]
-        compile_ns = time.perf_counter_ns() - t0
-
-        t1 = time.perf_counter_ns()
-        explorer = ProductExplorer()
-        for dfa in dfas:
-            explorer.add_component(dfa)
-        partial, explored, max_depth = explorer.search(state_budget)
-        process_ns = time.perf_counter_ns() - t1
-
-        verdict = StepVerdict(i, partial.status, partial.witness)
-        explored_total += explored
-        reports.append(StepReport(i, FROM_SCRATCH, compile_ns, process_ns, explored,
-                                  explored_total, max_depth, verdict))
+        session = StreamSession(state_budget=state_budget,
+                                determinize_budget=determinize_budget)
+        report = session._conjoin(formulas[:i], FROM_SCRATCH)
+        before = reports[-1].states_explored_total if reports else 0
+        reports.append(replace(report, states_explored_total=before + report.states_explored_step))
     final = reports[-1].verdict if reports else StepVerdict(0, "sat", [])
     return final, reports
 

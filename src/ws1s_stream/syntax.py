@@ -144,24 +144,39 @@ def _check_atom_kinds(node, line=0, col=0):
         need(node.y, Kind.FIRST_ORDER, type(node).__name__)
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Direct subformulas of ``f``, left to right.
+
+    The one place that lists the node types: every structural traversal
+    goes through it, so anything that is not a formula node raises here.
+    """
+    match f:
+        case In() | Less() | Succ() | EqFo() | Sub():
+            return ()
+        case Not(body) | Exists(_, body) | Forall(_, body):
+            return (body,)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return (left, right)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def operands(atom) -> tuple[VarId, VarId]:
+    """The two variables of an atom, in written order."""
+    return (atom.y, atom.z) if isinstance(atom, Sub) else (atom.x, atom.y)
+
+
 def validate_kinds(f: Formula) -> None:
     """Check kind-correctness of every atom in an AST built by hand."""
     if isinstance(f, ATOM_TYPES):
         _check_atom_kinds(f)
-    elif isinstance(f, Not):
-        validate_kinds(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        validate_kinds(f.left)
-        validate_kinds(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        validate_kinds(f.body)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
+    for sub in children(f):
+        validate_kinds(sub)
 
 
 # --- tokenizer -------------------------------------------------------------
 
 _KEYWORDS = {"ex1", "ex2", "all1", "all2", "in", "sub"}
+_RELATIONS = {"in": In, "sub": Sub, "<": Less}  # "=" may go on to "+ 1"
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -202,14 +217,8 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             if m.lastgroup == "ident":
                 ttype = "kw" if lexeme in _KEYWORDS else "ident"
-            elif m.lastgroup == "num":
-                ttype = "num"
-            elif m.lastgroup == "iff":
-                ttype = "<->"
-            elif m.lastgroup == "arrow":
-                ttype = "->"
-            else:
-                ttype = lexeme
+            else:  # operators, "<->" and "->" included, are typed by their text
+                ttype = "num" if m.lastgroup == "num" else lexeme
             tokens.append(_Token(ttype, lexeme, line, col))
             col += len(lexeme)
         pos = m.end()
@@ -332,18 +341,11 @@ class _Parser:
             raise ParseError(tok.line, tok.col, "a variable or '('", tok.text or None)
         left, left_tok = self.variable()
         op = self.peek()
-        if op.type == "kw" and op.text == "in":
-            self.take("kw")
+        relation = _RELATIONS.get(op.text) if op.type in ("kw", "<") else None
+        if relation is not None:
+            self.take(op.type)
             right, _ = self.variable()
-            node = In(left, right)
-        elif op.type == "kw" and op.text == "sub":
-            self.take("kw")
-            right, _ = self.variable()
-            node = Sub(left, right)
-        elif op.type == "<":
-            self.take("<")
-            right, _ = self.variable()
-            node = Less(left, right)
+            node = relation(left, right)
         elif op.type == "=":
             self.take("=")
             right, _ = self.variable()
@@ -376,31 +378,28 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
+_ATOM_TEXT = {In: "{} in {}", Sub: "{} sub {}", Less: "{} < {}",
+              Succ: "{} = {} + 1", EqFo: "{} = {}"}
+
+
 def _print(f: Formula, ctx: int) -> str:
-    if isinstance(f, In):
-        s, p = f"{f.x.name} in {f.y.name}", _PREC_ATOM
-    elif isinstance(f, Sub):
-        s, p = f"{f.y.name} sub {f.z.name}", _PREC_ATOM
-    elif isinstance(f, Less):
-        s, p = f"{f.x.name} < {f.y.name}", _PREC_ATOM
-    elif isinstance(f, Succ):
-        s, p = f"{f.x.name} = {f.y.name} + 1", _PREC_ATOM
-    elif isinstance(f, EqFo):
-        s, p = f"{f.x.name} = {f.y.name}", _PREC_ATOM
-    elif isinstance(f, Not):
-        s, p = "~" + _print(f.body, _PREC_NOT), _PREC_NOT
-    elif isinstance(f, And):
-        s, p = f"{_print(f.left, _PREC_AND)} & {_print(f.right, _PREC_AND + 1)}", _PREC_AND
-    elif isinstance(f, Or):
-        s, p = f"{_print(f.left, _PREC_OR)} | {_print(f.right, _PREC_OR + 1)}", _PREC_OR
-    elif isinstance(f, Implies):
-        s, p = f"{_print(f.left, _PREC_IMPLIES + 1)} -> {_print(f.right, _PREC_IMPLIES)}", _PREC_IMPLIES
-    elif isinstance(f, (Exists, Forall)):
-        kw = ("ex" if isinstance(f, Exists) else "all") + \
-            ("1" if f.var.kind is Kind.FIRST_ORDER else "2")
-        s, p = f"{kw} {f.var.name}: {_print(f.body, _PREC_QUANT)}", _PREC_QUANT
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
+    match f:
+        case Not(body):
+            s, p = "~" + _print(body, _PREC_NOT), _PREC_NOT
+        case And(left, right):
+            s, p = f"{_print(left, _PREC_AND)} & {_print(right, _PREC_AND + 1)}", _PREC_AND
+        case Or(left, right):
+            s, p = f"{_print(left, _PREC_OR)} | {_print(right, _PREC_OR + 1)}", _PREC_OR
+        case Implies(left, right):
+            s, p = f"{_print(left, _PREC_IMPLIES + 1)} -> {_print(right, _PREC_IMPLIES)}", _PREC_IMPLIES
+        case Exists(var, body) | Forall(var, body):
+            kw = ("ex" if isinstance(f, Exists) else "all") + \
+                ("1" if var.kind is Kind.FIRST_ORDER else "2")
+            s, p = f"{kw} {var.name}: {_print(body, _PREC_QUANT)}", _PREC_QUANT
+        case _:
+            children(f)  # only atoms are left; anything else raises there
+            a, b = operands(f)
+            s, p = _ATOM_TEXT[type(f)].format(a.name, b.name), _PREC_ATOM
     return f"({s})" if p < ctx else s
 
 
@@ -413,21 +412,21 @@ def print_formula(f: Formula) -> str:
 
 def normalize(f: Formula) -> Formula:
     """Rewrite to the {atom, Not, And, Exists} core, preserving semantics."""
-    if isinstance(f, ATOM_TYPES):
-        return f
-    if isinstance(f, Not):
-        return Not(normalize(f.body))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, Exists):
-        return Exists(f.var, normalize(f.body))
-    if isinstance(f, Forall):
-        return Not(Exists(f.var, Not(normalize(f.body))))
-    raise TypeError(f"not a formula node: {f!r}")
+    match f:
+        case Not(body):
+            return Not(normalize(body))
+        case And(left, right):
+            return And(normalize(left), normalize(right))
+        case Or(left, right):
+            return Not(And(Not(normalize(left)), Not(normalize(right))))
+        case Implies(left, right):
+            return Not(And(normalize(left), Not(normalize(right))))
+        case Exists(var, body):
+            return Exists(var, normalize(body))
+        case Forall(var, body):
+            return Not(Exists(var, Not(normalize(body))))
+    children(f)  # only atoms are left, already normal; anything else raises there
+    return f
 
 
 # --- variable metadata -----------------------------------------------------
@@ -435,38 +434,21 @@ def normalize(f: Formula) -> Formula:
 def free_vars(f: Formula) -> list[VarId]:
     """Free variables in first-occurrence order of a preorder traversal."""
     seen: list[VarId] = []
-    bound: list[str] = []
 
-    def visit(node: Formula):
+    def visit(node: Formula, bound: frozenset[str]):
         if isinstance(node, ATOM_TYPES):
-            pair = (node.x, node.y) if not isinstance(node, Sub) else (node.y, node.z)
-            for v in pair:
+            for v in operands(node):
                 if v.name not in bound and v not in seen:
                     seen.append(v)
-        elif isinstance(node, Not):
-            visit(node.body)
-        elif isinstance(node, (And, Or, Implies)):
-            visit(node.left)
-            visit(node.right)
         elif isinstance(node, (Exists, Forall)):
-            bound.append(node.var.name)
-            visit(node.body)
-            bound.pop()
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
+            bound = bound | {node.var.name}
+        for sub in children(node):
+            visit(sub, bound)
 
-    visit(f)
+    visit(f, frozenset())
     return seen
 
 
 def quantifier_count(f: Formula, kind: Kind | None = None) -> int:
-    if isinstance(f, ATOM_TYPES):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_count(f.body, kind)
-    if isinstance(f, (And, Or, Implies)):
-        return quantifier_count(f.left, kind) + quantifier_count(f.right, kind)
-    if isinstance(f, (Exists, Forall)):
-        here = 1 if kind is None or f.var.kind is kind else 0
-        return here + quantifier_count(f.body, kind)
-    raise TypeError(f"not a formula node: {f!r}")
+    here = isinstance(f, (Exists, Forall)) and (kind is None or f.var.kind is kind)
+    return int(here) + sum(quantifier_count(sub, kind) for sub in children(f))

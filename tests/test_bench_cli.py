@@ -224,3 +224,21 @@ def test_cli_mode_disagreement_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_bench", boom)
     code = main(["bench", "--family", "1", "--n", "2", "--out", "/dev/null"])
     assert code == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_cli_bad_state_budget_env_exits_2(value, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("WS1S_STATE_BUDGET", value)
+    source = tmp_path / "stream.txt"
+    source.write_text("x in Y\n")
+    for argv in (["stream", str(source)], ["check", "x in Y"], ["compile", "x in Y"],
+                 ["bench", "--family", "1", "--n", "2", "--out", str(tmp_path / "b.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: WS1S_STATE_BUDGET") and err.count("\n") == 1
+
+
+def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("WS1S_STATE_BUDGET", " 1")  # anything int() takes
+    assert main(["bench", "--family", "2", "--n", "2", "--out", str(tmp_path / "b.csv")]) == 3
+    assert "determinization" in capsys.readouterr().err

@@ -133,3 +133,25 @@ def test_eval_handles_shadowed_names_in_hand_built_asts():
     inner = Exists(x, Less(x, x))
     outer = Exists(x, And(In(x, Y), Not(inner)))
     assert evaluate(outer, Interpretation(1, {}, {"Y": frozenset({0})}))
+
+
+def test_oracle_imports_nothing_but_syntax_and_errors():
+    """Ground truth must not share code with the automata, the compiler or
+    the session, directly or through the package root."""
+    import ast
+    import pathlib
+
+    import ws1s_stream.oracle as oracle
+
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            imported.update(f"ws1s_stream.{m}" for m in modules)
+    ours = {m for m in imported if m.split(".")[0] == "ws1s_stream"}
+    assert "ws1s_stream.syntax" in ours  # the scan sees the relative imports
+    assert ours <= {"ws1s_stream.syntax", "ws1s_stream.errors"}

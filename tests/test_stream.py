@@ -363,3 +363,29 @@ def test_shared_variables_reuse_tracks():
     assert verdict.status == "sat"
     maps = s.witness_maps(verdict)
     assert maps is not None and set(maps[0]) == {"x", "Y", "Z"}
+
+
+def _session_state(s):
+    return (s.step, len(s.components), len(s.explorer.components), s.verdicts,
+            list(s.reports), len(s.explorer.nodes), s.explorer.union_tracks)
+
+
+def test_push_that_exceeds_the_budget_leaves_the_session_as_it_was():
+    formulas = family1(8)
+    s = StreamSession(state_budget=40)
+    for f in formulas[:4]:
+        s.push(f)
+    for f in formulas[4:]:
+        before = _session_state(s)
+        with pytest.raises(StateBudgetExceeded):
+            s.push(f)
+        assert _session_state(s) == before
+    assert s.step == len(s.components) == len(s.explorer.components) == len(s.verdicts) == 4
+
+    fresh = StreamSession(state_budget=40)
+    for f in formulas[:4]:
+        fresh.push(f)
+    later, expected = s.push(parse("x1 = x2")), fresh.push(parse("x1 = x2"))
+    assert later.verdict == expected.verdict and later.verdict.is_sat
+    assert later.states_explored_step == expected.states_explored_step
+    assert len(s.explorer.nodes) == len(fresh.explorer.nodes)

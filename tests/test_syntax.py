@@ -166,3 +166,14 @@ def test_free_vars_order():
     x1, Y1 = VarId("x1", Kind.FIRST_ORDER), VarId("Y1", Kind.SECOND_ORDER)
     x2, Y2 = VarId("x2", Kind.FIRST_ORDER), VarId("Y2", Kind.SECOND_ORDER)
     assert free_vars(And(In(x1, Y1), In(x2, Y2))) == [x1, Y1, x2, Y2]
+
+
+@pytest.mark.parametrize(
+    "name", ["free_vars", "validate_kinds", "normalize", "print_formula", "quantifier_count"])
+def test_traversals_reject_non_formula_nodes(name):
+    import ws1s_stream.syntax as syntax
+
+    x, Y = VarId("x", Kind.FIRST_ORDER), VarId("Y", Kind.SECOND_ORDER)
+    for bad in (42, And(In(x, Y), 42), Exists(x, Not("x in Y"))):
+        with pytest.raises(TypeError):
+            getattr(syntax, name)(bad)
