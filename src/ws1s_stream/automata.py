@@ -218,12 +218,15 @@ def nfa_accepts(n: Nfa, word: Sequence[Symbol]) -> bool:
     return bool(states & n.accepting)
 
 
-def _reaching(targets: Iterable[int], preds: Sequence[set[int]]) -> set[int]:
-    """``targets`` and every state with a path into them, along ``preds``."""
-    found = set(targets)
+def _reaching(start: Iterable[int], links: Sequence[set[int]]) -> set[int]:
+    """``start`` and every state reachable from it along ``links``.
+
+    With predecessor sets as ``links`` this is backward reachability.
+    """
+    found = set(start)
     stack = list(found)
     while stack:
-        for p in preds[stack.pop()]:
+        for p in links[stack.pop()]:
             if p not in found:
                 found.add(p)
                 stack.append(p)
@@ -356,65 +359,42 @@ def minimize(a: Dfa) -> Dfa:
     produce byte-identical dumps.  The dead state, when reachable, gets
     the last id.
     """
-    reachable = [a.initial]
-    seen = {a.initial}
-    for s in reachable:
-        for _, dst in a.delta[s]:
-            if dst not in seen:
-                seen.add(dst)
-                reachable.append(dst)
-    states = sorted(seen)
+    states = sorted(_reaching([a.initial], [{dst for _, dst in edges} for edges in a.delta]))
 
     block: dict[int, int] = {s: (1 if s in a.accepting else 0) for s in states}
     while True:
-        signatures: dict[int, tuple] = {}
-        for s in states:
-            edges = [(cube, block[dst]) for cube, dst in a.delta[s]]
-            signatures[s] = (block[s], tuple(_region_map(edges, a.width, union=False)))
-        groups: dict[tuple, int] = {}
+        groups: dict[tuple, int] = {}  # signature -> new block id
         new_block: dict[int, int] = {}
         for s in states:
-            sig = signatures[s]
-            if sig not in groups:
-                groups[sig] = len(groups)
-            new_block[s] = groups[sig]
-        if len(groups) == len(set(block[s] for s in states)):
-            block = new_block
-            break
+            edges = [(cube, block[dst]) for cube, dst in a.delta[s]]
+            sig = (block[s], tuple(_region_map(edges, a.width, union=False)))
+            new_block[s] = groups.setdefault(sig, len(groups))
+        split = len(groups) != len(set(block.values()))
         block = new_block
+        if not split:
+            break
 
-    representatives: dict[int, int] = {}
-    for s in states:
-        representatives.setdefault(block[s], s)
-    block_edges: dict[int, list[tuple[str, int]]] = {}
-    for b, rep in representatives.items():
-        edges = [(cube, block[dst]) for cube, dst in a.delta[rep]]
-        block_edges[b] = [(c, v) for c, v in _region_map(edges, a.width, union=False)]
-    accepting_blocks = {block[s] for s in states if s in a.accepting}
-
-    block_preds: list[set[int]] = [set() for _ in block_edges]  # blocks are 0..n-1
-    for b, edges in block_edges.items():
-        for _, dst in edges:
-            block_preds[dst].add(b)
-    alive = _reaching(accepting_blocks, block_preds)
+    # no block split in the last round, so each old block has one
+    # signature holding its canonical cover over old ids: renumber those;
+    # groups holds the blocks in id order 0..n-1
+    renamed = {old: b for (old, _), b in groups.items()}
+    covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover) for _, cover in groups)
+    accepting_blocks = frozenset(block[s] for s in states if s in a.accepting)
+    alive = coreachable(Dfa(a.tracks, len(covers), block[a.initial], accepting_blocks, covers))
 
     bfs = [block[a.initial]]
     visited = {block[a.initial]}
     for b in bfs:
-        for cube, dst in sorted(block_edges[b]):
+        for cube, dst in sorted(covers[b]):
             if dst not in visited:
                 visited.add(dst)
                 bfs.append(dst)
-    live_order = [b for b in bfs if b in alive]
-    dead_order = [b for b in bfs if b not in alive]
-    renumber = {b: i for i, b in enumerate(live_order + dead_order)}
-
-    m = len(renumber)
-    delta = [()] * m
-    for b, edges in block_edges.items():
-        delta[renumber[b]] = tuple(sorted((cube, renumber[dst]) for cube, dst in edges))
+    order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
+    renumber = {b: i for i, b in enumerate(order)}
+    delta = tuple(tuple(sorted((cube, renumber[dst]) for cube, dst in covers[b]))
+                  for b in order)
     accepting = frozenset(renumber[b] for b in accepting_blocks)
-    return Dfa(a.tracks, m, renumber[block[a.initial]], accepting, tuple(delta))
+    return Dfa(a.tracks, len(order), renumber[block[a.initial]], accepting, delta)
 
 
 # --- emptiness and witnesses --------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 all steps verdicted, 2 parse or kind error, 3 budget
-exceeded, 4 incremental vs from-scratch disagreement.  The environment
-variable ``WS1S_STATE_BUDGET`` overrides both the session exploration
-cap and the determinization cap in every subcommand; it must be a
-positive integer, otherwise the command exits 2.
+Exit codes: 0 all steps verdicted, 2 parse or kind error, bad flag or
+a file that cannot be opened, 3 budget exceeded, 4 incremental vs
+from-scratch disagreement.  The environment variable
+``WS1S_STATE_BUDGET`` overrides both the session exploration cap and
+the determinization cap in every subcommand; it must be a positive
+integer, otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def _state_budget() -> int | None:
     except ValueError:
         pass
     raise WsError(f"WS1S_STATE_BUDGET must be a positive integer, not {raw!r}")
+
+
+def _int_at_least(least: int):
+    """An argparse ``type`` that takes integers no smaller than ``least``."""
+
+    def convert(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}")
+
+    return convert
 
 
 def _session() -> StreamSession:
@@ -222,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark the two evaluation modes")
     p.add_argument("--family", type=int, choices=[1, 2], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--modes", default="inc,scratch")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_int_at_least(1), default=1)
     p.add_argument("--out", metavar="CSV", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -232,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     pc = oracle_sub.add_parser("check", help="bounded model search")
     pc.add_argument("formula")
-    pc.add_argument("--k", type=int, required=True)
+    pc.add_argument("--k", type=_int_at_least(0), required=True)
     pc.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -247,6 +262,9 @@ def main(argv=None) -> int:
         if isinstance(exc, _BUDGET_ERRORS):
             return EXIT_BUDGET
         return EXIT_DISAGREEMENT if isinstance(exc, ModeDisagreement) else EXIT_PARSE
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

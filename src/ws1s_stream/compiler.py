@@ -8,10 +8,12 @@ restriction; it is conjoined at the outermost point where the variable
 is live (at quantification for bound ones, at top level for free ones)
 rather than inside every atom, which keeps intermediate products small.
 
-Memoization is keyed on the printed normalized formula with free names
-replaced by their track index.  Bound names appear verbatim, so two
-quantified formulas differing only in binder names compile separately;
-scratch tracks are assigned per bound name, which keeps the keys stable.
+Memoization is keyed on the normalized formula with every variable,
+free or bound, named by its track index; a bound variable's is its
+scratch track.  Keys are built bottom-up from the children's keys, and
+a key determines its automaton in any registry, so one cache may serve
+many sessions.  Quantified formulas differing only in binder names
+still compile separately, because scratch tracks are assigned per name.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .automata import (
 from .errors import KindConflict, KindError, UnboundTrack
 from .syntax import (
     And,
-    ATOM_TYPES,
     EqFo,
     Exists,
     Formula,
@@ -96,12 +97,27 @@ class TrackRegistry:
     def name_of(self, index: int) -> str:
         return self._names[index]
 
+    def __len__(self) -> int:
+        """Number of registered free variables."""
+        return len(self._free)
+
+    def unregister_after(self, count: int) -> None:
+        """Forget every free variable registered after the first ``count``.
+
+        The index counter stays where it is: scratch tracks come from it
+        too, and memo keys name tracks by index, so no index is handed
+        out twice.
+        """
+        for name in list(self._free)[count:]:
+            del self._names[self._free.pop(name)[0]]
+
 
 class MemoCache:
     """Formula-structure keyed cache of compiled automata.
 
-    Lookups never change verdicts, only timing.  A cache instance is not
-    synchronized: the intended use is one cache per session; sharing
+    Lookups never change verdicts, only timing.  Keys name tracks, not
+    variable names, so sessions with different registries may share one
+    cache soundly.  A cache instance is not synchronized: sharing it
     between concurrently running sessions needs an external lock.
     """
 
@@ -120,32 +136,6 @@ class MemoCache:
 
     def put(self, key: str, value: Dfa) -> None:
         self._table[key] = value
-
-
-_ATOM_TAG = {In: "in", Sub: "sub", Less: "lt", Succ: "succ", EqFo: "eq"}
-
-
-def _key(f: Formula, env: dict[str, int], bound: set[str]) -> str:
-    def name(v: VarId) -> str:
-        if v.name in bound:
-            return v.name
-        return f"@{env[v.name]}"
-
-    if isinstance(f, ATOM_TYPES):
-        a, b = operands(f)
-        return f"{_ATOM_TAG[type(f)]}({name(a)},{name(b)})"
-    if isinstance(f, Not):
-        return f"~{_key(f.body, env, bound)}"
-    if isinstance(f, And):
-        return f"&({_key(f.left, env, bound)},{_key(f.right, env, bound)})"
-    if isinstance(f, Exists):
-        marker = "ex1" if f.var.kind is Kind.FIRST_ORDER else "ex2"
-        bound.add(f.var.name)
-        try:
-            return f"{marker} {f.var.name}:({_key(f.body, env, bound)})"
-        finally:
-            bound.discard(f.var.name)
-    raise TypeError(f"normalized formulas cannot contain {type(f).__name__}")
 
 
 # --- base automata -----------------------------------------------------------
@@ -241,51 +231,55 @@ def compile_formula(
     validate_kinds(f)
     fvs = free_vars(f)
     env = {v.name: registry.track_of(v) for v in fvs}
+    key, body = _fold(f, env, registry, cache, determinize_budget)
 
-    top_key = "!" + _key(f, env, set())
-    if cache is not None:
-        hit = cache.get(top_key)
-        if hit is not None:
-            return hit
+    def restrict() -> Dfa:
+        result = body
+        for track in sorted(env[v.name] for v in fvs if v.kind is Kind.FIRST_ORDER):
+            result = minimize(intersect(result, restriction_automaton(track)))
+        return result
 
-    result = _compile(f, env, set(), registry, cache, determinize_budget)
-    for track in sorted(env[v.name] for v in fvs if v.kind is Kind.FIRST_ORDER):
-        result = minimize(intersect(result, restriction_automaton(track)))
-    if cache is not None:
-        cache.put(top_key, result)
-    return result
+    return _memoized(cache, "!" + key, restrict)[1]
 
 
-def _compile(f, env, bound: set[str], registry, cache, budget) -> Dfa:
-    key = _key(f, env, bound)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _memoized(cache: MemoCache | None, key: str, build) -> tuple[str, Dfa]:
+    """``key`` and its automaton, from the cache or else from ``build()``."""
+    result = cache.get(key) if cache is not None else None
+    if result is None:
+        result = build()
+        if cache is not None:
+            cache.put(key, result)
+    return key, result
 
-    if isinstance(f, ATOM_TYPES):
-        result = minimize(compile_atom(f, env))
-    elif isinstance(f, Not):
-        # complementing a minimal total DFA keeps it minimal
-        result = complement(_compile(f.body, env, bound, registry, cache, budget))
-    elif isinstance(f, And):
-        left = _compile(f.left, env, bound, registry, cache, budget)
-        right = _compile(f.right, env, bound, registry, cache, budget)
-        result = minimize(intersect(left, right))
-    elif isinstance(f, Exists):
-        track = registry.scratch_track(f.var)
-        inner_env = dict(env)
-        inner_env[f.var.name] = track
-        body = _compile(f.body, inner_env, bound | {f.var.name}, registry, cache, budget)
-        if not any(t.index == track for t in body.tracks):
-            result = body  # variable does not occur; positions always exist
-        else:
-            if f.var.kind is Kind.FIRST_ORDER:
-                body = minimize(intersect(body, restriction_automaton(track)))
-            result = minimize(determinize(project(body, track), budget))
-    else:
-        raise TypeError(f"normalized formulas cannot contain {type(f).__name__}")
 
-    if cache is not None:
-        cache.put(key, result)
-    return result
+def _fold(f: Formula, env: dict[str, int], registry, cache, budget) -> tuple[str, Dfa]:
+    """Memo key and minimal automaton of a normalized formula, bottom-up."""
+    match f:
+        case In() | Less() | Succ() | EqFo() | Sub():
+            a, b = operands(f)
+            return _memoized(cache, f"{type(f).__name__}(@{env[a.name]},@{env[b.name]})",
+                             lambda: minimize(compile_atom(f, env)))
+        case Not(body):
+            key, inner = _fold(body, env, registry, cache, budget)
+            # complementing a minimal total DFA keeps it minimal
+            return _memoized(cache, f"~{key}", lambda: complement(inner))
+        case And(left, right):
+            lkey, ldfa = _fold(left, env, registry, cache, budget)
+            rkey, rdfa = _fold(right, env, registry, cache, budget)
+            return _memoized(cache, f"&({lkey},{rkey})",
+                             lambda: minimize(intersect(ldfa, rdfa)))
+        case Exists(var, body):
+            track = registry.scratch_track(var)
+            key, inner = _fold(body, {**env, var.name: track}, registry, cache, budget)
+            return _memoized(cache, f"ex{var.kind.value} @{track}:({key})",
+                             lambda: _project_out(inner, var.kind, track, budget))
+    raise TypeError(f"normalized formulas cannot contain {type(f).__name__}")
+
+
+def _project_out(body: Dfa, kind: Kind, track: int, budget: int) -> Dfa:
+    """Existential quantification of the variable on ``track``."""
+    if not any(t.index == track for t in body.tracks):
+        return body  # variable does not occur; positions always exist
+    if kind is Kind.FIRST_ORDER:
+        body = minimize(intersect(body, restriction_automaton(track)))
+    return minimize(determinize(project(body, track), budget))

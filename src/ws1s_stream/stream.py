@@ -254,24 +254,24 @@ class ProductExplorer:
 class StreamSession:
     """State of one incremental conjunction run.
 
-    A session owns a track registry and a compile cache shared by all
-    its steps, so free variables keep their track across conjuncts.
-    Sessions are single-threaded; run separate sessions for concurrency
-    (they share nothing unless given a common cache, which would then
-    need external locking).
+    A session owns its track registry, so free variables keep their
+    track across conjuncts, and a compile cache shared by all its steps.
+    The cache may also be shared with other sessions: its keys name
+    tracks, so an entry means the same automaton in every registry.
+    Sessions are single-threaded; sessions that run concurrently and
+    share a cache need an external lock around it.
     """
 
     def __init__(
         self,
-        registry: TrackRegistry | None = None,
-        cache: MemoCache | None = None,
         *,
+        cache: MemoCache | None = None,
         state_budget: int = DEFAULT_SESSION_BUDGET,
         determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
     ):
         if state_budget <= 0:
             raise ValueError("state budget must be positive")
-        self.registry = registry if registry is not None else TrackRegistry()
+        self.registry = TrackRegistry()
         self.cache = cache if cache is not None else MemoCache()
         self.explorer = ProductExplorer()
         self.reports: list[StepReport] = []
@@ -303,23 +303,23 @@ class StreamSession:
     def _conjoin(self, formulas: Sequence[Formula], mode: str) -> StepReport:
         """Compile ``formulas`` into new components, then decide the conjunction.
 
-        A compile or search that raises leaves components, reports and
-        explored nodes as they were; the registry and the memo cache keep
-        what the attempt added to them.
+        A registration, compile or search that raises leaves registered
+        variables, components, reports and explored nodes as they were;
+        only the memo cache keeps what the attempt added to it.
         """
-        for f in formulas:
-            for v in free_vars(f):
-                self.registry.register(v)
-        t0 = time.perf_counter_ns()
-        dfas = [compile_formula(f, self.registry, self.cache,
-                                determinize_budget=self.determinize_budget)
-                for f in formulas]
-        compile_ns = time.perf_counter_ns() - t0
-
-        kept = self.step
+        kept, registered = self.step, len(self.registry)
         searching = self.current_verdict().is_sat  # after unsat, nothing to search
-        t1 = time.perf_counter_ns()
         try:
+            for f in formulas:
+                for v in free_vars(f):
+                    self.registry.register(v)
+            t0 = time.perf_counter_ns()
+            dfas = [compile_formula(f, self.registry, self.cache,
+                                    determinize_budget=self.determinize_budget)
+                    for f in formulas]
+            compile_ns = time.perf_counter_ns() - t0
+
+            t1 = time.perf_counter_ns()
             for dfa in dfas:
                 self.explorer.add_component(dfa)
             if searching:
@@ -328,6 +328,7 @@ class StreamSession:
                 partial, explored, max_depth = StepVerdict(0, "unsat", None), 0, -1
         except BaseException:
             self.explorer.drop_components(kept)
+            self.registry.unregister_after(registered)
             raise
         process_ns = time.perf_counter_ns() - t1 if searching else 0
 

@@ -242,3 +242,27 @@ def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("WS1S_STATE_BUDGET", " 1")  # anything int() takes
     assert main(["bench", "--family", "2", "--n", "2", "--out", str(tmp_path / "b.csv")]) == 3
     assert "determinization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--family", "1", "--n", "0", "--out", "unused.csv"],
+    ["bench", "--family", "1", "--n", "2", "--reps", "0", "--out", "unused.csv"],
+    ["oracle", "check", "x < y", "--k", "-1"],
+])
+def test_cli_out_of_range_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stream", "{missing}/in.txt"],
+    ["compile", "x in Y", "--dump-automaton", "{missing}/a.txt"],
+])
+def test_cli_path_that_cannot_be_opened_exits_2(argv, tmp_path, capsys):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

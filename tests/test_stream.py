@@ -8,13 +8,13 @@ from ws1s_stream.automata import accepts, cylindrify, find_witness, intersect
 from ws1s_stream.bench import family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula
 from ws1s_stream.errors import KindConflict, StateBudgetExceeded
-from ws1s_stream.oracle import evaluate, interpretation_from_word
+from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
     StreamSession,
     from_scratch_check,
     session_stats,
 )
-from ws1s_stream.syntax import And, Kind, Not, VarId, free_vars, parse
+from ws1s_stream.syntax import And, In, Kind, Not, VarId, free_vars, parse
 
 
 def _conjunction(formulas):
@@ -389,3 +389,47 @@ def test_push_that_exceeds_the_budget_leaves_the_session_as_it_was():
     assert later.verdict == expected.verdict and later.verdict.is_sat
     assert later.states_explored_step == expected.states_explored_step
     assert len(s.explorer.nodes) == len(fresh.explorer.nodes)
+
+
+def test_shared_cache_across_sessions_keeps_verdicts():
+    # memo keys name tracks, so an entry one session's registry put in
+    # the cache means the same automaton in another session's registry
+    cache = MemoCache()
+    a, b = StreamSession(cache=cache), StreamSession(cache=cache)
+    a.push(parse("ex1 z: z in Y"))
+    f = parse("ex1 z: z in Y & x < z & ~(x in Y)")
+    shared, alone = b.push(f), StreamSession().push(f)
+    assert sat_bounded(f, 3) is not None
+    assert shared.verdict == alone.verdict and shared.verdict.is_sat
+    assert cache.hits > 0
+
+
+def test_memo_counters_on_a_short_stream():
+    s = StreamSession()
+    for line in ("ex2 Y: x in Y & (ex1 z: z in Y)", "x in Y & ~(x in Z)",
+                 "ex2 Y: x in Y & (ex1 z: z in Y)", "all1 z: z in Y -> z in Z"):
+        s.push(parse(line))
+    # every subformula is looked up once per push, after its children
+    assert (s.cache.misses, s.cache.hits) == (20, 6)
+
+
+def test_failed_push_unregisters_its_free_variables():
+    s = StreamSession(determinize_budget=1)
+    with pytest.raises(StateBudgetExceeded):
+        s.push(parse("ex2 W: x in W"))
+    s.push(parse("y in Y"))
+    assert s.push(parse("x < y")).verdict.is_sat
+    assert [s.registry.name_of(t.index) for t in s.explorer.union_tracks] == ["y", "Y", "x"]
+
+
+def test_registration_that_raises_midway_is_rolled_back():
+    s = StreamSession()
+    s.push(parse("y in Y"))
+    a_first, a_second = VarId("a", Kind.FIRST_ORDER), VarId("a", Kind.SECOND_ORDER)
+    conflicting = And(In(a_first, VarId("B", Kind.SECOND_ORDER)),
+                      In(VarId("y", Kind.FIRST_ORDER), a_second))
+    with pytest.raises(KindConflict):
+        s.push(conflicting)
+    s.push(parse("y in Z"))
+    assert s.push(parse("a < y")).verdict.is_sat
+    assert len(s.registry) == 4
