@@ -72,6 +72,15 @@ def _int_at_least(least: int):
     return convert
 
 
+def _modes(text: str) -> tuple[str, ...]:
+    """An argparse ``type`` for ``--modes``: comma-separated ``inc``/``scratch``."""
+    names = {"inc": INCREMENTAL, "scratch": FROM_SCRATCH}
+    try:
+        return tuple(names[m.strip()] for m in text.split(","))
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(f"unknown mode {exc}") from None
+
+
 def _session() -> StreamSession:
     explore, determinize = budget_caps(_state_budget())
     return StreamSession(state_budget=explore, determinize_budget=determinize)
@@ -176,16 +185,10 @@ def cmd_stream(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    mode_names = {"inc": INCREMENTAL, "scratch": FROM_SCRATCH}
-    try:
-        modes = tuple(mode_names[m.strip()] for m in args.modes.split(","))
-    except KeyError as exc:
-        print(f"unknown mode {exc}", file=sys.stderr)
-        return EXIT_PARSE
     cfg = BenchConfig(
         family=args.family,
         n_max=args.n,
-        modes=modes,
+        modes=args.modes,
         repetitions=args.reps,
         out_path=args.out,
         state_budget=_state_budget(),
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark the two evaluation modes")
     p.add_argument("--family", type=int, choices=[1, 2], required=True)
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--modes", default="inc,scratch")
+    p.add_argument("--modes", type=_modes, default="inc,scratch")
     p.add_argument("--reps", type=_int_at_least(1), default=1)
     p.add_argument("--out", metavar="CSV", required=True)
     p.set_defaults(func=cmd_bench)

@@ -78,16 +78,18 @@ class StepReport:
 class _Node:
     """One explored product state at the arity it was explored with.
 
-    ``out`` is only meaningful when ``complete`` is set; it then lists
-    every live successor edge at this node's arity, cubes over the union
-    tracks of that arity.
+    ``parent`` and ``cube`` are the last edge of its shortest lex-least
+    path from the root.  ``out`` is only meaningful when ``complete`` is
+    set; it then lists every live successor edge at this node's arity,
+    cubes over the union tracks of that arity, least symbol first.
     """
 
-    __slots__ = ("depth", "path", "complete", "out", "accepting")
+    __slots__ = ("depth", "parent", "cube", "complete", "out", "accepting")
 
-    def __init__(self, depth: int, path: tuple, accepting: bool):
+    def __init__(self, depth: int, accepting: bool, parent: _Node | None = None, cube: str = ""):
         self.depth = depth
-        self.path = path
+        self.parent = parent
+        self.cube = cube
         self.accepting = accepting
         self.complete = False
         self.out: tuple = ()
@@ -102,8 +104,9 @@ class _Component:
         self.coreachable = coreachable(dfa)
 
 
-def _edge_order(edge: tuple[str, tuple]) -> tuple:
-    return (cube_min_symbol(edge[0]), edge[0])
+def _edge_order(edge: tuple[str, tuple]) -> str:
+    # the cube's least symbol; a node's edges are disjoint cubes, so no ties
+    return edge[0].replace("X", "0")
 
 
 class ProductExplorer:
@@ -116,7 +119,7 @@ class ProductExplorer:
         self.root: tuple = ()
         # the empty product accepts the empty word: a conjunction of
         # nothing is true
-        self.nodes: dict[tuple, _Node] = {(): _Node(0, (), accepting=True)}
+        self.nodes: dict[tuple, _Node] = {(): _Node(0, accepting=True)}
 
     def add_component(self, dfa: Dfa) -> None:
         union = merge_tracks(self.union_tracks, dfa.tracks)
@@ -193,62 +196,59 @@ class ProductExplorer:
 
         Returns (partial verdict, states created, deepest level whose
         successors were derived).  The verdict's step index is filled in
-        by the caller.  Deterministic: layers are processed in
-        lexicographic path order and acceptance ties break toward the
-        lexicographically least concrete witness, so explored-state
-        counts are reproducible run to run.
+        by the caller.  A layer's nodes are expanded in discovery order,
+        each along its edges least symbol first, and a target's first
+        discovery places it; paths into one layer have equal length, so
+        that is lexicographic path order, and the first accepting node
+        ends the shortest lex-least witness, read back along parent
+        links.  Whole layers are materialized, so counts are reproducible.
         """
         created = 0
         max_expanded = -1
         extended_free: set[tuple] = set()
 
         root_node = self.nodes.get(self.root)
-        if root_node is None:
-            root_node = _Node(0, (), self._tuple_accepting(self.root))
-            self.nodes[self.root] = root_node  # the initial state is free
+        if root_node is None:  # the initial state is free
+            root_node = self.nodes[self.root] = _Node(0, self._tuple_accepting(self.root))
             if self.root:
                 extended_free.add(self.root[:-1])
-        accepting: list[tuple] = [self.root] if root_node.accepting else []
-
+        found = root_node if root_node.accepting else None
+        seen = {self.root}  # placed by this search, not by an earlier one
         layer = [self.root]
-        while True:
-            if accepting:
-                best = min(accepting, key=lambda u: self.nodes[u].path)
-                return (
-                    StepVerdict(0, "sat", list(self.nodes[best].path)),
-                    created,
-                    max_expanded,
-                )
-            discovered: dict[tuple, tuple] = {}
-            for t in sorted(layer, key=lambda u: self.nodes[u].path):
+        while found is None:
+            discovered: dict[tuple, tuple[_Node, str]] = {}
+            for t in layer:
                 node = self.nodes[t]
                 if not node.complete:
                     node.out = self._edges_for(t)
                     node.complete = True
                 max_expanded = max(max_expanded, node.depth)
                 for cube, target in node.out:
-                    if target in self.nodes:
-                        continue  # current-arity tuple from this layer or an earlier one
-                    candidate = node.path + (cube_min_symbol(cube),)
-                    if target not in discovered or candidate < discovered[target]:
-                        discovered[target] = candidate
+                    if target not in seen and target not in discovered:
+                        discovered[target] = (node, cube)
             if not discovered:
                 return StepVerdict(0, "unsat", None), created, max_expanded
-            depth = self.nodes[layer[0]].depth + 1
-            layer = []
-            for target, path in discovered.items():
-                base = target[:-1]
-                if base in self.nodes and base not in extended_free:
-                    extended_free.add(base)  # extending a known state is free
-                else:
-                    created += 1
-                if len(self.nodes) >= state_budget:
-                    raise StateBudgetExceeded(state_budget, "product exploration")
-                node = _Node(depth, path, self._tuple_accepting(target))
-                self.nodes[target] = node
-                if node.accepting:
-                    accepting.append(target)
-                layer.append(target)
+            seen.update(discovered)
+            layer = list(discovered)
+            for target, (parent, cube) in discovered.items():
+                node = self.nodes.get(target)
+                if node is None:
+                    base = target[:-1]
+                    if base in self.nodes and base not in extended_free:
+                        extended_free.add(base)  # extending a known state is free
+                    else:
+                        created += 1
+                    if len(self.nodes) >= state_budget:
+                        raise StateBudgetExceeded(state_budget, "product exploration")
+                    node = _Node(parent.depth + 1, self._tuple_accepting(target), parent, cube)
+                    self.nodes[target] = node
+                if found is None and node.accepting:
+                    found = node
+        witness = []
+        while found.parent is not None:
+            witness.append(cube_min_symbol(found.cube))
+            found = found.parent
+        return StepVerdict(0, "sat", witness[::-1]), created, max_expanded
 
 
 class StreamSession:

@@ -248,6 +248,8 @@ def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):
     ["bench", "--family", "1", "--n", "0", "--out", "unused.csv"],
     ["bench", "--family", "1", "--n", "2", "--reps", "0", "--out", "unused.csv"],
     ["oracle", "check", "x < y", "--k", "-1"],
+    ["bench", "--family", "1", "--n", "2", "--modes", "inc,foo", "--out", "unused.csv"],
+    ["bench", "--family", "1", "--n", "2", "--modes", "", "--out", "unused.csv"],
 ])
 def test_cli_out_of_range_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -153,8 +153,8 @@ def test_lazy_verdict_matches_materialized_product():
     # the never-materialized search must reproduce automaton-core's
     # shortest/lex-least witness on the folded product, byte for byte
     rng = random.Random(89)
-    for _ in range(8):
-        formulas = _random_stream(rng, 3)
+    for _ in range(40):
+        formulas = _random_stream(rng, 4)
         s = StreamSession()
         materialized = None
         for f in formulas:
@@ -433,3 +433,51 @@ def test_registration_that_raises_midway_is_rolled_back():
     s.push(parse("y in Z"))
     assert s.push(parse("a < y")).verdict.is_sat
     assert len(s.registry) == 4
+
+
+def test_second_search_at_the_same_arity_keeps_the_verdict():
+    # nodes an earlier search archived at this arity are reused, not
+    # taken for nodes this search has already placed
+    for lines in (["x in Y"], ["x in Y", "y < x"]):
+        s = StreamSession()
+        for line in lines:
+            verdict = s.push(parse(line)).verdict
+        again, created, _ = s.explorer.search(100)
+        assert (again.status, again.witness, created) == ("sat", verdict.witness, 0)
+
+
+_PINNED_STREAMS = {
+    "family1": (family1(4), [
+        ([(1, 1)], 1, 1, 0),
+        ([(1, 1, 1, 1)], 2, 3, 0),
+        ([(1, 1, 1, 1, 1, 1)], 4, 7, 0),
+        ([(1, 1, 1, 1, 1, 1, 1, 1)], 8, 15, 0),
+    ], (31, 4)),
+    "succ-chain": ([parse(f"x{i + 1} = x{i} + 1") for i in range(1, 5)], [
+        ([(0, 1), (1, 0)], 2, 2, 1),
+        ([(0, 1, 0), (1, 0, 0), (0, 0, 1)], 1, 3, 2),
+        ([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1, 4, 3),
+        ([(0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+          (0, 0, 0, 0, 1)], 1, 5, 4),
+    ], (19, 14)),
+    "quantifier-unsat": ([parse(t) for t in ("x < y", "ex1 z: x < z & z < y",
+                                              "y = x + 1", "x in Y")], [
+        ([(1, 0), (0, 1)], 2, 2, 1),
+        ([(1, 0), (0, 0), (0, 1)], 1, 3, 2),
+        (None, 0, 3, 1),
+        (None, 0, 3, -1),
+    ], (10, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
+def test_search_counters_are_pinned(name):
+    # per step: witness, states explored (step, total), deepest expanded
+    # layer; per session: resident nodes and nodes with derived edges
+    formulas, steps, session = _PINNED_STREAMS[name]
+    s = StreamSession()
+    got = [(r.verdict.witness, r.states_explored_step, r.states_explored_total,
+            r.max_expanded_depth) for r in map(s.push, formulas)]
+    assert got == steps
+    nodes = s.explorer.nodes.values()
+    assert (len(nodes), sum(node.complete for node in nodes)) == session
