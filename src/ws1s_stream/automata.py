@@ -53,6 +53,12 @@ def merge_tracks(a: TrackSet, b: TrackSet) -> TrackSet:
     return tuple(Track(i, kinds[i]) for i in sorted(kinds))
 
 
+def track_columns(tracks: TrackSet, union: TrackSet) -> tuple[int, ...]:
+    """Column of each of ``tracks`` in the wider track set ``union``."""
+    pos_of = {t.index: i for i, t in enumerate(union)}
+    return tuple(pos_of[t.index] for t in tracks)
+
+
 # --- cube helpers ------------------------------------------------------------
 
 def cube_overlay(cube: str, other: str, cols: Sequence[int]) -> Optional[str]:
@@ -82,12 +88,22 @@ def cube_min_symbol(cube: str) -> Symbol:
     return tuple(1 if c == "1" else 0 for c in cube)
 
 
-def cube_widen(cube: str, positions: Sequence[int], width: int) -> str:
-    """Spread a cube's characters to ``positions`` of a wider cube, X elsewhere."""
-    out = ["X"] * width
-    for ch, pos in zip(cube, positions):
-        out[pos] = ch
-    return "".join(out)
+def cube_product(edges: Iterable[tuple[str, tuple]], row: Iterable[tuple[str, object]],
+                 cols: Sequence[int], width: int) -> list[tuple[str, tuple]]:
+    """One product step: every edge of ``edges`` met with every edge of ``row``.
+
+    Each ``(cube, target)`` of ``edges``, padded with don't-cares to ``width``,
+    is met with each ``(cube, dst)`` of ``row`` laid onto columns ``cols``;
+    non-empty meets become ``(meet, target + (dst,))``, edge-major.
+    """
+    out = []
+    for cube, target in edges:
+        cube += "X" * (width - len(cube))
+        for other, dst in row:
+            meet = cube_overlay(cube, other, cols)
+            if meet is not None:
+                out.append((meet, target + (dst,)))
+    return out
 
 
 def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
@@ -242,6 +258,29 @@ def coreachable(a: Dfa) -> frozenset[int]:
     return frozenset(_reaching(a.accepting, preds))
 
 
+def _explore(start, successors, budget: Optional[int] = None) -> tuple[list, tuple]:
+    """Number the states reachable from ``start`` in discovery order.
+
+    ``successors(state)`` lists ``(cube, state)`` edges.  Returns the states
+    in id order and each state's edges to ids, sorted.  ``budget`` caps the
+    state count; only determinization has one.
+    """
+    ids = {start: 0}
+    order = [start]
+    delta = []
+    for state in order:  # grows while it is walked
+        out = []
+        for cube, target in successors(state):
+            if target not in ids:
+                if budget is not None and len(order) >= budget:
+                    raise StateBudgetExceeded(budget, "determinization")
+                ids[target] = len(order)
+                order.append(target)
+            out.append((cube, ids[target]))
+        delta.append(tuple(sorted(out)))
+    return order, tuple(delta)
+
+
 # --- boolean and structural operations ---------------------------------------
 
 def complement(a: Dfa) -> Dfa:
@@ -254,11 +293,10 @@ def cylindrify(a: Dfa, extra: TrackSet) -> Dfa:
     tracks = merge_tracks(a.tracks, extra)
     if len(tracks) == a.width:
         return a
-    positions = [next(i for i, t in enumerate(tracks) if t.index == old.index)
-                 for old in a.tracks]
-    width = len(tracks)
+    cols = track_columns(a.tracks, tracks)
+    blank = "X" * len(tracks)
     delta = tuple(
-        tuple((cube_widen(cube, positions, width), dst) for cube, dst in edges)
+        tuple((cube_overlay(blank, cube, cols), dst) for cube, dst in edges)
         for edges in a.delta
     )
     return Dfa(tracks, a.num_states, a.initial, a.accepting, delta)
@@ -268,35 +306,17 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton over the union track set, trimmed to reachable states."""
     tracks = merge_tracks(a.tracks, b.tracks)
     width = len(tracks)
-    pos_of = {t.index: i for i, t in enumerate(tracks)}
-    a_pos = [pos_of[t.index] for t in a.tracks]
-    b_pos = [pos_of[t.index] for t in b.tracks]
+    a_cols = track_columns(a.tracks, tracks)
+    b_cols = track_columns(b.tracks, tracks)
 
-    start = (a.initial, b.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    delta: list[tuple[tuple[str, int], ...]] = []
-    i = 0
-    while i < len(order):
-        pa, pb = order[i]
-        edges = []
-        for ca, da in a.delta[pa]:
-            wa = cube_widen(ca, a_pos, width)
-            for cb, db in b.delta[pb]:
-                cube = cube_overlay(wa, cb, b_pos)
-                if cube is None:
-                    continue
-                target = (da, db)
-                if target not in ids:
-                    ids[target] = len(order)
-                    order.append(target)
-                edges.append((cube, ids[target]))
-        delta.append(tuple(sorted(edges)))
-        i += 1
-    accepting = frozenset(
-        ids[s] for s in order if s[0] in a.accepting and s[1] in b.accepting
-    )
-    return Dfa(tracks, len(order), 0, accepting, tuple(delta))
+    def successors(pair: tuple[int, int]) -> list[tuple[str, tuple]]:
+        edges = cube_product([("X" * width, ())], a.delta[pair[0]], a_cols, width)
+        return cube_product(edges, b.delta[pair[1]], b_cols, width)
+
+    order, delta = _explore((a.initial, b.initial), successors)
+    accepting = frozenset(i for i, (pa, pb) in enumerate(order)
+                          if pa in a.accepting and pb in b.accepting)
+    return Dfa(tracks, len(order), 0, accepting, delta)
 
 
 def project(a: Dfa, track_index: int) -> Nfa:
@@ -326,28 +346,14 @@ def project(a: Dfa, track_index: int) -> Nfa:
 
 def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
     """Subset construction over reachable subsets only."""
-    start = frozenset({n.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    delta: list[tuple[tuple[str, int], ...]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+
+    def successors(subset: frozenset[int]) -> list[tuple[str, frozenset[int]]]:
         edges = [(cube, dsts) for s in sorted(subset) for cube, dsts in n.delta[s]]
-        regions = _region_map(edges, n.width, union=True)
-        out = []
-        for cube, targets in regions:
-            target = frozenset(targets)
-            if target not in ids:
-                if len(order) >= budget:
-                    raise StateBudgetExceeded(budget, "determinization")
-                ids[target] = len(order)
-                order.append(target)
-            out.append((cube, ids[target]))
-        delta.append(tuple(sorted(out)))
-        i += 1
-    accepting = frozenset(ids[s] for s in order if s & n.accepting)
-    return Dfa(n.tracks, len(order), 0, accepting, tuple(delta))
+        return _region_map(edges, n.width, union=True)  # each value a frozenset
+
+    order, delta = _explore(frozenset({n.initial}), successors, budget)
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & n.accepting)
+    return Dfa(n.tracks, len(order), 0, accepting, delta)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -382,17 +388,11 @@ def minimize(a: Dfa) -> Dfa:
     accepting_blocks = frozenset(block[s] for s in states if s in a.accepting)
     alive = coreachable(Dfa(a.tracks, len(covers), block[a.initial], accepting_blocks, covers))
 
-    bfs = [block[a.initial]]
-    visited = {block[a.initial]}
-    for b in bfs:
-        for cube, dst in sorted(covers[b]):
-            if dst not in visited:
-                visited.add(dst)
-                bfs.append(dst)
+    # covers come sorted from _region_map, so discovery order is canonical
+    bfs, _ = _explore(block[a.initial], covers.__getitem__)
     order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
     renumber = {b: i for i, b in enumerate(order)}
-    delta = tuple(tuple(sorted((cube, renumber[dst]) for cube, dst in covers[b]))
-                  for b in order)
+    delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
     accepting = frozenset(renumber[b] for b in accepting_blocks)
     return Dfa(a.tracks, len(order), renumber[block[a.initial]], accepting, delta)
 

@@ -75,7 +75,7 @@ class BenchConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         bad = set(self.modes) - {INCREMENTAL, FROM_SCRATCH}
-        if bad or not self.modes:
+        if bad or not self.modes or len(set(self.modes)) != len(self.modes):
             raise ValueError(f"invalid modes {self.modes}")
 
 

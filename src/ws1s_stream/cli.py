@@ -21,16 +21,7 @@ from . import __version__
 from .automata import dump, find_witness
 from .bench import BenchConfig, run_bench
 from .compiler import MemoCache, TrackRegistry, compile_formula
-from .errors import (
-    EnumerationBudgetExceeded,
-    KindConflict,
-    KindError,
-    ModeDisagreement,
-    ParseError,
-    StateBudgetExceeded,
-    UnboundVariableError,
-    WsError,
-)
+from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
 from .oracle import sat_bounded
 from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession, budget_caps
 from .syntax import free_vars, parse
@@ -40,8 +31,12 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
 
-_PARSE_ERRORS = (ParseError, KindError, KindConflict, UnboundVariableError)
-_BUDGET_ERRORS = (StateBudgetExceeded, EnumerationBudgetExceeded)
+
+def _exit_code(exc: WsError) -> int:
+    """The exit code for an error this package raises on purpose."""
+    if isinstance(exc, (StateBudgetExceeded, EnumerationBudgetExceeded)):
+        return EXIT_BUDGET
+    return EXIT_DISAGREEMENT if isinstance(exc, ModeDisagreement) else EXIT_PARSE
 
 
 def _state_budget() -> int | None:
@@ -73,12 +68,16 @@ def _int_at_least(least: int):
 
 
 def _modes(text: str) -> tuple[str, ...]:
-    """An argparse ``type`` for ``--modes``: comma-separated ``inc``/``scratch``."""
+    """An argparse ``type`` for ``--modes``: comma-separated ``inc``/``scratch``,
+    each named at most once."""
     names = {"inc": INCREMENTAL, "scratch": FROM_SCRATCH}
     try:
-        return tuple(names[m.strip()] for m in text.split(","))
+        modes = tuple(names[m.strip()] for m in text.split(","))
     except KeyError as exc:
         raise argparse.ArgumentTypeError(f"unknown mode {exc}") from None
+    if len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(f"a mode is named twice in {text!r}")
+    return modes
 
 
 def _session() -> StreamSession:
@@ -138,20 +137,17 @@ def stream_command(
             continue
         try:
             formula = parse(text)
-        except _PARSE_ERRORS as exc:
+        except WsError as exc:
             print(f"line {lineno}: {exc}", file=err)
             err.flush()
             if skip_bad_lines:
                 continue
-            return EXIT_PARSE
+            return _exit_code(exc)
         try:
             report = session.push(formula)
-        except (KindConflict, KindError) as exc:
+        except WsError as exc:
             print(f"line {lineno}: {exc}", file=err)
-            return EXIT_PARSE
-        except _BUDGET_ERRORS as exc:
-            print(f"line {lineno}: {exc}", file=err)
-            return EXIT_BUDGET
+            return _exit_code(exc)
         verdict = report.verdict
         witness = session.witness_maps(verdict)
         if log_jsonl:
@@ -177,8 +173,12 @@ def stream_command(
 
 
 def cmd_stream(args) -> int:
+    # a byte that does not decode reaches the parser as a lone surrogate,
+    # so it fails its own line like any other character the grammar lacks
     from_file = args.input and args.input != "-"
-    with open(args.input) if from_file else nullcontext(sys.stdin) as fh:
+    if not from_file and hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
+    with open(args.input, errors="surrogateescape") if from_file else nullcontext(sys.stdin) as fh:
         return stream_command(fh, sys.stdout, sys.stderr,
                               skip_bad_lines=args.skip_bad_lines,
                               log_jsonl=args.log == "jsonl")
@@ -262,9 +262,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except WsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _BUDGET_ERRORS):
-            return EXIT_BUDGET
-        return EXIT_DISAGREEMENT if isinstance(exc, ModeDisagreement) else EXIT_PARSE
+        return _exit_code(exc)
     except OSError as exc:  # an input or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

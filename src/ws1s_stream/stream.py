@@ -39,8 +39,9 @@ from .automata import (
     Witness,
     coreachable,
     cube_min_symbol,
-    cube_overlay,
+    cube_product,
     merge_tracks,
+    track_columns,
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
 from .errors import StateBudgetExceeded
@@ -96,12 +97,15 @@ class _Node:
 
 
 class _Component:
-    __slots__ = ("dfa", "cols", "coreachable")
+    """A pushed automaton, its union columns, and per state its edges to live states."""
+
+    __slots__ = ("dfa", "cols", "rows")
 
     def __init__(self, dfa: Dfa, cols: tuple[int, ...]):
         self.dfa = dfa
         self.cols = cols
-        self.coreachable = coreachable(dfa)
+        alive = coreachable(dfa)
+        self.rows = tuple(tuple(e for e in edges if e[1] in alive) for edges in dfa.delta)
 
 
 def _edge_order(edge: tuple[str, tuple]) -> str:
@@ -128,10 +132,7 @@ class ProductExplorer:
         # right-padding with don't-cares
         if union[: len(self.union_tracks)] != self.union_tracks:
             raise AssertionError("union tracks must grow append-only")
-        pos_of = {t.index: i for i, t in enumerate(union)}
-        self.components.append(
-            _Component(dfa, tuple(pos_of[t.index] for t in dfa.tracks))
-        )
+        self.components.append(_Component(dfa, track_columns(dfa.tracks, union)))
         self.union_tracks = union
         self.widths.append(len(union))
         self.root = self.root + (dfa.initial,)
@@ -160,30 +161,16 @@ class ProductExplorer:
         whole product enumerated fresh.
         """
         start = 0
-        edges: list[tuple[str, tuple]] | None = None
+        edges = [("", ())]  # the empty product's one edge
         for j in range(len(t) - 1, 0, -1):
             ancestor = self.nodes.get(t[:j])
             if ancestor is not None and ancestor.complete:
                 start = j
-                edges = list(ancestor.out)
+                edges = ancestor.out
                 break
-        if edges is None:
-            edges = [("X" * self.widths[0], ())]
         for i in range(start, len(t)):
             comp = self.components[i]
-            width = self.widths[i + 1]
-            grown: list[tuple[str, tuple]] = []
-            for cube, target in edges:
-                cube = cube + "X" * (width - len(cube))
-                for comp_cube, dst in comp.dfa.delta[t[i]]:
-                    if dst not in comp.coreachable:
-                        continue
-                    merged = cube_overlay(cube, comp_cube, comp.cols)
-                    if merged is not None:
-                        grown.append((merged, target + (dst,)))
-            edges = grown
-            if not edges:
-                break
+            edges = cube_product(edges, comp.rows[t[i]], comp.cols, self.widths[i + 1])
         return tuple(sorted(edges, key=_edge_order))
 
     def _tuple_accepting(self, t: tuple) -> bool:

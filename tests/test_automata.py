@@ -22,7 +22,12 @@ from ws1s_stream.automata import (
     parse_dump,
     project,
 )
-from ws1s_stream.compiler import TrackRegistry, compile_formula, restriction_automaton
+from ws1s_stream.compiler import (
+    TrackRegistry,
+    compile_atom,
+    compile_formula,
+    restriction_automaton,
+)
 from ws1s_stream.errors import ArityMismatch, StateBudgetExceeded, TrackKindConflict
 from ws1s_stream.syntax import Kind, free_vars, parse
 
@@ -317,3 +322,83 @@ def test_zero_track_automata():
 def test_is_empty_boolean_view(x_in_y):
     assert not is_empty(x_in_y)
     assert is_empty(intersect(x_in_y, complement(x_in_y)))
+
+
+# Unminimized constructions, pinned byte for byte: their state numbering is
+# discovery order (``a``'s cubes outer, ``b``'s inner) and nothing else
+# checks it, because every caller minimizes.
+_ATOM_TRACKS = {"x": 0, "y": 1, "Y": 2}
+
+_LESS_AND_NOT_MEMBER = """\
+dfa tracks=0:1,1:1,2:2 states=7 initial=0
+accepting 5
+trans 0 00X 0
+trans 0 01X 3
+trans 0 100 1
+trans 0 101 2
+trans 0 110 4
+trans 0 111 3
+trans 1 X0X 1
+trans 1 X1X 5
+trans 2 00X 2
+trans 2 01X 6
+trans 2 100 1
+trans 2 101 2
+trans 2 110 5
+trans 2 111 6
+trans 3 0XX 3
+trans 3 1X0 4
+trans 3 1X1 3
+trans 4 XXX 4
+trans 5 XXX 5
+trans 6 0XX 6
+trans 6 1X0 5
+trans 6 1X1 6
+"""
+
+_LESS_ONE_X_PROJECTED = """\
+dfa tracks=1:1 states=7 initial=0
+accepting 4 6
+trans 0 0 1
+trans 0 1 2
+trans 1 0 3
+trans 1 1 4
+trans 2 X 5
+trans 3 0 3
+trans 3 1 4
+trans 4 X 6
+trans 5 X 5
+trans 6 X 6
+"""
+
+_MEMBER_NOT_LESS_PROJECTED = """\
+dfa tracks=0:1,2:2 states=6 initial=0
+accepting 0 1 3 5
+trans 0 0X 1
+trans 0 10 2
+trans 0 11 3
+trans 1 0X 1
+trans 1 10 2
+trans 1 11 3
+trans 2 XX 4
+trans 3 0X 5
+trans 3 10 4
+trans 3 11 5
+trans 4 XX 4
+trans 5 0X 5
+trans 5 10 4
+trans 5 11 5
+"""
+
+
+def test_unminimized_constructions_are_pinned():
+    less = compile_atom(parse("x < y"), _ATOM_TRACKS)
+    member = compile_atom(parse("x in Y"), _ATOM_TRACKS)
+    less_one_x = intersect(less, restriction_automaton(0))
+    assert dump(intersect(less, complement(member))) == _LESS_AND_NOT_MEMBER
+    assert dump(determinize(project(less_one_x, 0))) == _LESS_ONE_X_PROJECTED
+    member_not_less = intersect(member, complement(less))
+    assert dump(determinize(project(member_not_less, 1))) == _MEMBER_NOT_LESS_PROJECTED
+    with pytest.raises(StateBudgetExceeded) as exc:
+        determinize(project(less_one_x, 0), budget=1)
+    assert str(exc.value) == "state budget of 1 exceeded during determinization"

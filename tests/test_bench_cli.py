@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -98,6 +99,12 @@ def test_bench_config_validation():
         BenchConfig(family=1, n_max=4, repetitions=0)
     with pytest.raises(ValueError):
         BenchConfig(family=1, n_max=4, modes=("Sideways",))
+
+
+def test_bench_config_rejects_a_repeated_mode():
+    # a repeated mode would run its whole stream twice and keep one run
+    with pytest.raises(ValueError):
+        BenchConfig(family=1, n_max=2, modes=(INCREMENTAL, FROM_SCRATCH, INCREMENTAL))
 
 
 def _run_stream(text, **kwargs):
@@ -250,6 +257,7 @@ def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):
     ["oracle", "check", "x < y", "--k", "-1"],
     ["bench", "--family", "1", "--n", "2", "--modes", "inc,foo", "--out", "unused.csv"],
     ["bench", "--family", "1", "--n", "2", "--modes", "", "--out", "unused.csv"],
+    ["bench", "--family", "1", "--n", "2", "--modes", "inc,inc", "--out", "unused.csv"],
 ])
 def test_cli_out_of_range_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -268,3 +276,22 @@ def test_cli_path_that_cannot_be_opened_exits_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_stream_undecodable_byte_fails_its_line(source, skip, tmp_path, monkeypatch, capsys):
+    data = b"x in Y\n\xff in Y\ny in Y\n"
+    if source == "file":
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        argv = ["stream", str(path)]
+    else:  # a stdin that decodes strictly, as under PYTHONIOENCODING=utf-8:strict
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        argv = ["stream"]
+    if skip:
+        argv.append("--skip-bad-lines")
+    assert main(argv) == (0 if skip else 2)
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 2: 1:1: expected a token") and captured.err.count("\n") == 1
+    assert captured.out.count("verdict=sat") == (2 if skip else 1)
