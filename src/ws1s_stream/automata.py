@@ -114,10 +114,26 @@ def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
     recursive cofactoring on track positions, with equal halves merged to X.
     With ``union`` the values of all matching cubes are unioned (sets);
     otherwise exactly one cube must match each symbol.
+
+    The cofactoring splits only where the result can differ, so its cost
+    follows the cube structure, not 2^width.  On the subspace from ``pos``
+    on it returns early in three cases:
+
+    - no cube left reads a bit from ``pos`` on: every symbol there sees the
+      same cubes, so the leaf value, partition check included, holds for
+      the whole subspace as one all-X cube;
+    - without ``union``, the cubes left share one value and their sizes add
+      up to the subspace: one all-X cube.  This assumes disjoint cubes, as
+      every ``Dfa`` has (``Dfa.audit`` checks it); any other list falls
+      through to the split, where a missing symbol or a symbol with two
+      values raises ValueError;
+    - no cube left reads bit ``pos``: both halves are the same, so one
+      recursion is made and prefixed with X.
     """
 
     def go(es: list[tuple[str, object]], pos: int):
-        if pos == width:
+        rest = width - pos
+        if all(c.count("X", pos) == rest for c, _ in es):  # no cube reads a bit from pos on
             if union:
                 val = frozenset().union(*(v for _, v in es)) if es else frozenset()
             else:
@@ -125,9 +141,14 @@ def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
                 if len(vals) != 1:
                     raise ValueError(f"cube list is not a partition: {es}")
                 val = vals.pop()
-            return [("", val)]
+            return [("X" * rest, val)]
+        if (not union and len({v for _, v in es}) == 1
+                and sum(1 << c.count("X", pos) for c, _ in es) == 1 << rest):
+            return [("X" * rest, es[0][1])]  # one value on a disjoint cover
         zero = [(c, v) for c, v in es if c[pos] in "0X"]
         one = [(c, v) for c, v in es if c[pos] in "1X"]
+        if len(zero) == len(one) == len(es):  # no cube reads bit pos
+            return [("X" + c, v) for c, v in go(es, pos + 1)]
         r0 = go(zero, pos + 1)
         r1 = go(one, pos + 1)
         if r0 == r1:
@@ -363,7 +384,8 @@ def minimize(a: Dfa) -> Dfa:
     result is in the canonical disjoint cover form of ``_region_map``, so
     two minimizations of language-equal automata over the same tracks
     produce byte-identical dumps.  The dead state, when reachable, gets
-    the last id.
+    the last id.  A signature's cover costs time that follows the state's
+    cubes, not 2^width: positions its cubes do not read are never split on.
     """
     states = sorted(_reaching([a.initial], [{dst for _, dst in edges} for edges in a.delta]))
 

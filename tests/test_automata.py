@@ -1,10 +1,12 @@
 import random
+import signal
 
 import pytest
 
 from formula_gen import all_words, compiled, random_formula
 from ws1s_stream.automata import (
     Nfa,
+    _region_map,
     Track,
     accepts,
     complement,
@@ -188,6 +190,114 @@ def test_minimize_never_grows_and_preserves_language(random_corpus):
         small = minimize(dfa)
         assert small.num_states <= dfa.num_states
         assert language_equiv(small, dfa)
+
+
+def _reference_cover(edges, width, union):
+    """The canonical cover by its definition: tabulate the value of every
+    one of the 2^width symbols, cofactor down to single symbols and merge
+    equal halves to X."""
+
+    def value(symbol):
+        hits = [v for cube, v in edges
+                if all(ch == "X" or int(ch) == bit for ch, bit in zip(cube, symbol))]
+        if union:
+            return frozenset().union(*hits)
+        if len(set(hits)) != 1:
+            raise ValueError(f"{symbol} has values {hits}")
+        return hits[0]
+
+    def go(prefix):
+        if len(prefix) == width:
+            return [("", value(prefix))]
+        r0, r1 = go(prefix + (0,)), go(prefix + (1,))
+        if r0 == r1:
+            return [("X" + c, v) for c, v in r0]
+        return [("0" + c, v) for c, v in r0] + [("1" + c, v) for c, v in r1]
+
+    return go(())
+
+
+def _random_partition(rng, width, targets):
+    """Disjoint cubes covering all symbols, by random splits on X bits."""
+
+    def split(cube):
+        free = [i for i, ch in enumerate(cube) if ch == "X"]
+        if free and rng.random() < 0.6:
+            i = rng.choice(free)
+            return split(cube[:i] + "0" + cube[i + 1:]) + split(cube[:i] + "1" + cube[i + 1:])
+        return [(cube, rng.randrange(targets))]
+
+    cover = split("X" * width)
+    rng.shuffle(cover)
+    return cover
+
+
+def test_region_map_equals_reference_cover():
+    rng = random.Random(6)
+    for _ in range(300):
+        width = rng.randrange(7)
+        cover = _random_partition(rng, width, rng.randint(1, 3))
+        assert _region_map(cover, width, union=False) == _reference_cover(cover, width, False)
+        cubes = [("".join(rng.choice("01XX") for _ in range(width)),
+                  frozenset(rng.sample(range(4), rng.randint(0, 2))))
+                 for _ in range(rng.randrange(6))]
+        assert _region_map(cubes, width, union=True) == _reference_cover(cubes, width, True)
+
+
+def test_region_map_rejects_a_list_that_is_not_a_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        _region_map([("0X", 0)], 2, union=False)  # misses 1X
+    with pytest.raises(ValueError, match="not a partition"):
+        _region_map([("XX", 0), ("X1", 1)], 2, union=False)  # X1 maps to 0 and 1
+    rng = random.Random(7)
+    for _ in range(200):
+        width = rng.randrange(7)
+        cover = _random_partition(rng, width, rng.randint(1, 3))
+        missing = list(cover)
+        del missing[rng.randrange(len(missing))]
+        with pytest.raises(ValueError, match="not a partition"):
+            _region_map(missing, width, union=False)
+        symbol = "".join(rng.choice("01") for _ in range(width))
+        with pytest.raises(ValueError, match="not a partition"):
+            _region_map(cover + [(symbol, 3)], width, union=False)
+
+
+def test_minimize_cost_does_not_grow_with_unread_tracks():
+    # the product reads tracks 0 and 39 only; a cover that split on all
+    # 40 positions would take 2^40 steps per state
+    def seen_a_one(index):
+        return make_dfa(make_tracks([(index, Kind.SECOND_ORDER)]), 2, 0, {1},
+                        {0: [("0", 0), ("1", 1)], 1: [("X", 1)]})
+
+    tracks = make_tracks((i, Kind.SECOND_ORDER) for i in range(40))
+    product = intersect(cylindrify(seen_a_one(0), tracks), seen_a_one(39))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("minimize did not finish in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        small = minimize(product)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert small.num_states == 4
+    mid = "X" * 38
+    tracks_field = ",".join(f"{i}:2" for i in range(40))
+    assert dump(small) == (
+        f"dfa tracks={tracks_field} states=4 initial=0\n"
+        "accepting 3\n"
+        f"trans 0 0{mid}0 0\n"
+        f"trans 0 0{mid}1 1\n"
+        f"trans 0 1{mid}0 2\n"
+        f"trans 0 1{mid}1 3\n"
+        f"trans 1 0{mid}X 1\n"
+        f"trans 1 1{mid}X 3\n"
+        f"trans 2 X{mid}0 2\n"
+        f"trans 2 X{mid}1 3\n"
+        f"trans 3 X{mid}X 3\n"
+    )
 
 
 def test_find_witness_empty_language(x_in_y):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -147,6 +148,20 @@ def test_deterministic_compilation_across_fresh_contexts():
         first, _ = compiled(f)
         second, _ = compiled(f)
         assert dump(first) == dump(second)
+
+
+# sha256 over the dumps of a fixed corpus; it locks the canonical form of
+# every compiled automaton against later changes to the cover code
+_CORPUS_DUMPS_SHA256 = "bf47ff8567ed1e57557a51de6ebd2017102da3ba9d30fa70305732dc277dde7d"
+
+
+def test_compile_dumps_are_pinned():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        dfa, _ = compiled(random_formula(rng, max_depth=4))
+        digest.update(dump(dfa).encode())
+    assert digest.hexdigest() == _CORPUS_DUMPS_SHA256
 
 
 def test_word_level_agreement_with_oracle():
