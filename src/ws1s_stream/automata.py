@@ -4,6 +4,8 @@ A word symbol carries one bit per track; transition labels are cubes,
 strings over ``{0, 1, X}`` where ``X`` matches either bit.  Deterministic
 automata keep, per state, a cube list that is pairwise disjoint and
 jointly exhaustive, so every concrete symbol matches exactly one cube.
+The product step works on the same cubes as ``(care, value)`` int masks,
+converted at its callers' boundaries.
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -11,7 +13,8 @@ All automata are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -83,27 +86,73 @@ def cube_matches(cube: str, symbol: Symbol) -> bool:
     return all(c == "X" or int(c) == bit for c, bit in zip(cube, symbol))
 
 
+_BITS = bytes.maketrans(b"01X", b"\0\1\0")
+
+
+def _symbol(bits: str) -> Symbol:
+    # one byte translation: "1" -> 1, "0" and "X" -> 0
+    return tuple(bits.encode().translate(_BITS))
+
+
 def cube_min_symbol(cube: str) -> Symbol:
     """Least concrete symbol in a cube: don't-care bits become 0."""
-    return tuple(1 if c == "1" else 0 for c in cube)
+    return _symbol(cube)
 
 
-def cube_product(edges: Iterable[tuple[str, tuple]], row: Iterable[tuple[str, object]],
-                 cols: Sequence[int], width: int) -> list[tuple[str, tuple]]:
-    """One product step: every edge of ``edges`` met with every edge of ``row``.
+# A mask cube is a pair of ints (care, value) over a symbol of some width:
+# bit ``width - 1 - col`` stands for column ``col``, so column 0 is the most
+# significant bit; care bits are the columns the cube reads, value bits
+# (a subset of them) the columns it reads as 1.  Widening a mask cube with
+# don't-care columns on the right is a left shift, and integer order on
+# ``value`` is the order of the cubes' least symbols.
 
-    Each ``(cube, target)`` of ``edges``, padded with don't-cares to ``width``,
-    is met with each ``(cube, dst)`` of ``row`` laid onto columns ``cols``;
-    non-empty meets become ``(meet, target + (dst,))``, edge-major.
+def mask_min_symbol(value: int, width: int) -> Symbol:
+    """Least concrete symbol of a mask cube with this ``value``."""
+    return _symbol(bin(value | 1 << width)[3:])
+
+
+@lru_cache(maxsize=1 << 12)  # automata reuse few distinct cubes across their states
+def mask_cube(care: int, value: int, width: int) -> str:
+    """The ``{0, 1, X}`` string of a mask cube."""
+    bits = bin(value | 1 << width)[3:]
+    read = bin(care | 1 << width)[3:]
+    return "".join(b if r == "1" else "X" for b, r in zip(bits, read))
+
+
+def mask_rows(a: Dfa, union: TrackSet) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Each state's edges as ``(care, value, dst)`` mask cubes over ``union``."""
+    width = len(union)
+    bits = [1 << (width - 1 - col) for col in track_columns(a.tracks, union)]
+    rows = []
+    for edges in a.delta:
+        row = []
+        for cube, dst in edges:
+            care = value = 0
+            for ch, bit in zip(cube, bits):
+                if ch != "X":
+                    care |= bit
+                    if ch == "1":
+                        value |= bit
+            row.append((care, value, dst))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def cube_product(edges: Iterable[tuple[int, int, object]], row: Sequence[tuple[int, int, object]],
+                 shift: int = 0) -> Iterator[tuple[int, int, object, object]]:
+    """One product step on mask cubes: every edge of ``edges`` met with every edge of ``row``.
+
+    Each ``(care, value, target)`` of ``edges``, widened by ``shift``
+    don't-care columns on the right, is met with each ``(care, value, dst)``
+    of ``row``; non-empty meets are yielded as ``(care, value, target, dst)``,
+    edge-major.
     """
-    out = []
-    for cube, target in edges:
-        cube += "X" * (width - len(cube))
-        for other, dst in row:
-            meet = cube_overlay(cube, other, cols)
-            if meet is not None:
-                out.append((meet, target + (dst,)))
-    return out
+    for care, value, target in edges:
+        care <<= shift
+        value <<= shift
+        for rcare, rvalue, dst in row:
+            if not care & rcare & (value ^ rvalue):
+                yield care | rcare, value | rvalue, target, dst
 
 
 def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
@@ -327,12 +376,12 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton over the union track set, trimmed to reachable states."""
     tracks = merge_tracks(a.tracks, b.tracks)
     width = len(tracks)
-    a_cols = track_columns(a.tracks, tracks)
-    b_cols = track_columns(b.tracks, tracks)
+    a_rows, b_rows = mask_rows(a, tracks), mask_rows(b, tracks)
 
     def successors(pair: tuple[int, int]) -> list[tuple[str, tuple]]:
-        edges = cube_product([("X" * width, ())], a.delta[pair[0]], a_cols, width)
-        return cube_product(edges, b.delta[pair[1]], b_cols, width)
+        # masks inside, strings at the boundary: Dfa cubes stay strings
+        return [(mask_cube(care, value, width), (da, db))
+                for care, value, da, db in cube_product(a_rows[pair[0]], b_rows[pair[1]])]
 
     order, delta = _explore((a.initial, b.initial), successors)
     accepting = frozenset(i for i, (pa, pb) in enumerate(order)
@@ -498,4 +547,6 @@ def parse_dump(text: str) -> Dfa:
     for line in lines[2:]:
         _, src, cube, dst = line.split()
         edges.setdefault(int(src), []).append(("" if cube == "-" else cube, int(dst)))
-    return make_dfa(tracks, num_states, initial, accepting, edges)
+    dfa = make_dfa(tracks, num_states, initial, accepting, edges)
+    dfa.audit()  # a dump is outside input: overlapping or missing cubes are rejected here
+    return dfa

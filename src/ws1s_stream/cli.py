@@ -159,6 +159,8 @@ def stream_command(
                 "process_ms": round(report.process_ns / 1e6, 3),
                 "explored_step": report.states_explored_step,
                 "explored_total": report.states_explored_total,
+                "expanded": report.expanded,
+                "replayed": report.replayed,
             }
             if witness is not None:
                 record["witness"] = witness

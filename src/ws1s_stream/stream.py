@@ -19,6 +19,15 @@ form at the old arity and cost nothing, which is what keeps the
 per-step price tied to the witness search rather than to the size of
 everything seen so far.
 
+The work per node and per edge does not grow with the number of
+components.  A product state is an int id, interned on its prefix's id
+and its last component state, so the longest explored prefix is found
+along prefix links and acceptance is the prefix's acceptance and the
+last component's.  Edge cubes are ``(care, value)`` int masks (see
+``automata``), so widening is a shift, meeting is a few bit operations,
+and least-symbol order is the order of ``value``.  Each placed state's
+full tuple is built once, for the tuple-keyed view ``nodes``.
+
 Verdicts are monotone (a conjunction can only lose models), so after
 the first unsat step the session short-circuits exploration and keeps
 answering unsat while still appending components and recording compile
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .automata import (
@@ -38,10 +48,10 @@ from .automata import (
     TrackSet,
     Witness,
     coreachable,
-    cube_min_symbol,
     cube_product,
+    mask_min_symbol,
+    mask_rows,
     merge_tracks,
-    track_columns,
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
 from .errors import StateBudgetExceeded
@@ -73,44 +83,66 @@ class StepReport:
     states_explored_step: int
     states_explored_total: int
     max_expanded_depth: int  # -1 when nothing was expanded
+    expanded: int  # nodes whose successor edges this step derived
+    replayed: int  # of those, the ones derived from an archived complete prefix
     verdict: StepVerdict
 
 
 class _Node:
-    """One explored product state at the arity it was explored with.
+    """One product state, named by an int id: its index in ``ProductExplorer.by_id``.
 
-    ``parent`` and ``cube`` are the last edge of its shortest lex-least
-    path from the root.  ``out`` is only meaningful when ``complete`` is
-    set; it then lists every live successor edge at this node's arity,
+    A state is interned as ``(prefix, state)``: the id of the state one
+    arity lower and the component state appended to it, the first time an
+    edge or a root reaches it.  It is placed when a search
+    discovers it: then ``t`` is its full tuple (its key in
+    ``ProductExplorer.nodes``), ``parent`` its predecessor on its
+    shortest lex-least path and ``value`` the least symbol of that last
+    edge, as a mask.  States interned on the way through several new
+    components at once are never placed.  ``out`` is only meaningful when
+    ``complete`` is set; it then lists every live successor edge at this
+    state's arity as all-int ``(care, value, target id)`` triples, mask
     cubes over the union tracks of that arity, least symbol first.
+    It is None until then.
     """
 
-    __slots__ = ("depth", "parent", "cube", "complete", "out", "accepting")
+    __slots__ = ("prefix", "state", "accepting", "t", "depth", "parent", "value", "out")
 
-    def __init__(self, depth: int, accepting: bool, parent: _Node | None = None, cube: str = ""):
-        self.depth = depth
-        self.parent = parent
-        self.cube = cube
+    def __init__(self, prefix: int, state: int, accepting: bool):
+        self.prefix = prefix
+        self.state = state
         self.accepting = accepting
-        self.complete = False
-        self.out: tuple = ()
+        self.t: tuple | None = None
+        self.depth = 0
+        self.parent: _Node | None = None
+        self.value = 0
+        self.out: tuple | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.out is not None
 
 
 class _Component:
-    """A pushed automaton, its union columns, and per state its edges to live states."""
+    """A pushed automaton, the number of columns it adds to the union, and
+    per state its edges to live states as mask cubes over the union."""
 
-    __slots__ = ("dfa", "cols", "rows")
+    __slots__ = ("dfa", "shift", "rows")
 
-    def __init__(self, dfa: Dfa, cols: tuple[int, ...]):
+    def __init__(self, dfa: Dfa, union: TrackSet, shift: int):
         self.dfa = dfa
-        self.cols = cols
+        self.shift = shift
         alive = coreachable(dfa)
-        self.rows = tuple(tuple(e for e in edges if e[1] in alive) for edges in dfa.delta)
+        self.rows = tuple(tuple(e for e in edges if e[2] in alive)
+                          for edges in mask_rows(dfa, union))
 
 
-def _edge_order(edge: tuple[str, tuple]) -> str:
-    # the cube's least symbol; a node's edges are disjoint cubes, so no ties
-    return edge[0].replace("X", "0")
+def _key(prefix: int, state: int) -> int:
+    # one int per (prefix id, state) pair: cheaper to keep and hash than a
+    # tuple; no automaton has 2^32 states
+    return prefix << 32 | state
+
+
+_edge_order = itemgetter(1)  # a mask's value is its least symbol; disjoint cubes never tie
 
 
 class ProductExplorer:
@@ -119,62 +151,92 @@ class ProductExplorer:
     def __init__(self):
         self.components: list[_Component] = []
         self.union_tracks: TrackSet = ()
-        self.widths: list[int] = [0]  # union width after the first i components
-        self.root: tuple = ()
         # the empty product accepts the empty word: a conjunction of
-        # nothing is true
-        self.nodes: dict[tuple, _Node] = {(): _Node(0, accepting=True)}
+        # nothing is true.  It has id 0 and is placed from the start.
+        empty = _Node(-1, -1, accepting=True)
+        empty.t = ()
+        self.by_id: list[_Node] = [empty]
+        self.ids: dict[int, int] = {}  # _key(prefix, state) -> id
+        self.roots: list[int] = [0]  # initial state id after the first i components
+        self.nodes: dict[tuple, _Node] = {(): empty}  # the placed states by tuple
+        # _edges_for calls in the last search, and those that replayed an
+        # archived prefix
+        self.expanded = self.replayed = 0
 
     def add_component(self, dfa: Dfa) -> None:
         union = merge_tracks(self.union_tracks, dfa.tracks)
         # registration order makes new tracks highest, so positions of
-        # tracks already in the union never move; stored cubes extend by
-        # right-padding with don't-cares
+        # tracks already in the union never move; stored mask cubes extend
+        # by a left shift
         if union[: len(self.union_tracks)] != self.union_tracks:
             raise AssertionError("union tracks must grow append-only")
-        self.components.append(_Component(dfa, track_columns(dfa.tracks, union)))
+        comp = _Component(dfa, union, len(union) - len(self.union_tracks))
+        self.components.append(comp)
         self.union_tracks = union
-        self.widths.append(len(union))
-        self.root = self.root + (dfa.initial,)
+        self.roots.append(self._intern(self.roots[-1], dfa.initial, comp))
 
     def drop_components(self, keep: int) -> None:
         """Undo every ``add_component`` after the first ``keep``.
 
-        Nodes above arity ``keep`` go too: only searches run after those
-        additions can have created them.
+        Every state interned since goes too.  The root at arity ``keep + 1``
+        was the first of them (nothing reaches an arity before its root),
+        so they are the tail of the id list from that root on.
         """
+        if keep == len(self.components):
+            return
+        mark = self.roots[keep + 1]
+        for node in self.by_id[mark:]:
+            del self.ids[_key(node.prefix, node.state)]
+            if node.t is not None:
+                del self.nodes[node.t]
+        del self.by_id[mark:]
+        del self.roots[keep + 1:]
         del self.components[keep:]
-        del self.widths[keep + 1:]
-        self.union_tracks = self.union_tracks[: self.widths[-1]]
-        self.root = self.root[:keep]
-        for t in [t for t in self.nodes if len(t) > keep]:
-            del self.nodes[t]
+        self.union_tracks = self.union_tracks[: sum(c.shift for c in self.components)]
 
-    # -- successor derivation ---------------------------------------------
+    # -- states and successor derivation ---------------------------------
 
-    def _edges_for(self, t: tuple) -> tuple[tuple[str, tuple], ...]:
-        """Live successor edges of ``t`` at its own arity.
+    def _intern(self, prefix: int, state: int, comp: _Component) -> int:
+        key = _key(prefix, state)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.by_id)
+            accepting = self.by_id[prefix].accepting and state in comp.dfa.accepting
+            self.by_id.append(_Node(prefix, state, accepting))
+        return i
+
+    def _tuple(self, node: _Node) -> tuple:
+        """A node's full tuple: its nearest placed prefix's plus the states after it."""
+        suffix = []
+        while node.t is None:
+            suffix.append(node.state)
+            node = self.by_id[node.prefix]
+        return node.t + tuple(reversed(suffix))
+
+    def _edges_for(self, t: tuple) -> tuple[tuple[int, int, int], ...]:
+        """Live successor edges of the placed state ``t`` at its own arity.
 
         Reuses the archived edge list of the longest fully-explored
-        prefix of ``t``, splitting those cubes through the components
-        added since; only if no prefix was ever fully explored is the
-        whole product enumerated fresh.
+        prefix of ``t``, found along prefix links, splitting those cubes
+        through the components added since; only if no prefix was ever
+        fully explored is the whole product enumerated fresh.
         """
         start = 0
-        edges = [("", ())]  # the empty product's one edge
+        edges: Sequence[tuple[int, int, int]] = ((0, 0, 0),)  # the empty product's one edge
+        ancestor = self.nodes[t]
         for j in range(len(t) - 1, 0, -1):
-            ancestor = self.nodes.get(t[:j])
-            if ancestor is not None and ancestor.complete:
-                start = j
-                edges = ancestor.out
+            ancestor = self.by_id[ancestor.prefix]
+            if ancestor.out is not None:
+                start, edges = j, ancestor.out
+                self.replayed += 1
                 break
+        self.expanded += 1
+        intern = self._intern
         for i in range(start, len(t)):
             comp = self.components[i]
-            edges = cube_product(edges, comp.rows[t[i]], comp.cols, self.widths[i + 1])
+            edges = [(care, value, intern(target, dst, comp)) for care, value, target, dst
+                     in cube_product(edges, comp.rows[t[i]], comp.shift)]
         return tuple(sorted(edges, key=_edge_order))
-
-    def _tuple_accepting(self, t: tuple) -> bool:
-        return all(s in comp.dfa.accepting for s, comp in zip(t, self.components))
 
     # -- search ------------------------------------------------------------
 
@@ -189,51 +251,58 @@ class ProductExplorer:
         that is lexicographic path order, and the first accepting node
         ends the shortest lex-least witness, read back along parent
         links.  Whole layers are materialized, so counts are reproducible.
+        Every step of it works on ids and prefix links; a tuple is built
+        once per placed node, for ``nodes``.
         """
+        by_id, nodes = self.by_id, self.nodes
         created = 0
         max_expanded = -1
-        extended_free: set[tuple] = set()
+        extended_free: set[int] = set()  # prefix ids a free extension has used
+        self.expanded = self.replayed = 0
 
-        root_node = self.nodes.get(self.root)
-        if root_node is None:  # the initial state is free
-            root_node = self.nodes[self.root] = _Node(0, self._tuple_accepting(self.root))
-            if self.root:
-                extended_free.add(self.root[:-1])
+        root = self.roots[-1]
+        root_node = by_id[root]
+        if root_node.t is None:  # the initial state is free
+            root_node.t = self._tuple(root_node)
+            nodes[root_node.t] = root_node
+            if root:
+                extended_free.add(root_node.prefix)
         found = root_node if root_node.accepting else None
-        seen = {self.root}  # placed by this search, not by an earlier one
-        layer = [self.root]
-        while found is None:
-            discovered: dict[tuple, tuple[_Node, str]] = {}
-            for t in layer:
-                node = self.nodes[t]
-                if not node.complete:
-                    node.out = self._edges_for(t)
-                    node.complete = True
+        seen = {root}  # placed by this search, not by an earlier one
+        layer = [root]
+        while found is None and layer:
+            discovered = []  # the next layer, in discovery order
+            for i in layer:
+                node = by_id[i]
+                if node.out is None:
+                    node.out = self._edges_for(node.t)
                 max_expanded = max(max_expanded, node.depth)
-                for cube, target in node.out:
-                    if target not in seen and target not in discovered:
-                        discovered[target] = (node, cube)
-            if not discovered:
-                return StepVerdict(0, "unsat", None), created, max_expanded
-            seen.update(discovered)
-            layer = list(discovered)
-            for target, (parent, cube) in discovered.items():
-                node = self.nodes.get(target)
-                if node is None:
-                    base = target[:-1]
-                    if base in self.nodes and base not in extended_free:
-                        extended_free.add(base)  # extending a known state is free
-                    else:
-                        created += 1
-                    if len(self.nodes) >= state_budget:
-                        raise StateBudgetExceeded(state_budget, "product exploration")
-                    node = _Node(parent.depth + 1, self._tuple_accepting(target), parent, cube)
-                    self.nodes[target] = node
-                if found is None and node.accepting:
-                    found = node
+                for _, value, target in node.out:
+                    if target in seen:
+                        continue
+                    seen.add(target)
+                    discovered.append(target)
+                    child = by_id[target]
+                    if child.t is None:
+                        prefix = child.prefix
+                        if by_id[prefix].t is not None and prefix not in extended_free:
+                            extended_free.add(prefix)  # extending a known state is free
+                        else:
+                            created += 1
+                        if len(nodes) >= state_budget:
+                            raise StateBudgetExceeded(state_budget, "product exploration")
+                        child.t = self._tuple(child)
+                        nodes[child.t] = child
+                        child.depth, child.parent, child.value = node.depth + 1, node, value
+                    if found is None and child.accepting:
+                        found = child
+            layer = discovered
+        if found is None:
+            return StepVerdict(0, "unsat", None), created, max_expanded
+        width = len(self.union_tracks)
         witness = []
         while found.parent is not None:
-            witness.append(cube_min_symbol(found.cube))
+            witness.append(mask_min_symbol(found.value, width))
             found = found.parent
         return StepVerdict(0, "sat", witness[::-1]), created, max_expanded
 
@@ -311,8 +380,10 @@ class StreamSession:
                 self.explorer.add_component(dfa)
             if searching:
                 partial, explored, max_depth = self.explorer.search(self.state_budget)
+                expanded, replayed = self.explorer.expanded, self.explorer.replayed
             else:
                 partial, explored, max_depth = StepVerdict(0, "unsat", None), 0, -1
+                expanded = replayed = 0
         except BaseException:
             self.explorer.drop_components(kept)
             self.registry.unregister_after(registered)
@@ -322,7 +393,7 @@ class StreamSession:
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = StepVerdict(self.step, partial.status, partial.witness)
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
-                            max_depth, verdict)
+                            max_depth, expanded, replayed, verdict)
         self.reports.append(report)
         return report
 

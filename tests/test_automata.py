@@ -420,6 +420,12 @@ def test_dump_round_trip(x_in_y):
     assert dump(again) == dump(x_in_y)
 
 
+def test_parse_dump_rejects_overlapping_cubes():
+    text = "dfa tracks=0:2,1:2 states=1 initial=0\naccepting 0\ntrans 0 0X 0\ntrans 0 0X 0\n"
+    with pytest.raises(ValueError, match="overlapping cubes at state 0"):
+        parse_dump(text)
+
+
 def test_zero_track_automata():
     dfa = _compile("ex2 Y: ex1 x: x in Y")
     assert dfa.width == 0

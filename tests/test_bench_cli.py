@@ -154,6 +154,16 @@ def test_stream_command_jsonl():
     assert records[1]["verdict"] == "unsat"
 
 
+def test_stream_command_jsonl_records_expansions():
+    text = "".join(print_formula(f) + "\n" for f in family1(3)) + "~(x1 in Y1)\nx9 in Y9\n"
+    code, out, _ = _run_stream(text, log_jsonl=True)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    # one expansion per sat step, replayed from the step before; the
+    # contradiction searches, the step after it does not
+    assert [(r["expanded"], r["replayed"]) for r in records] == [(1, 0), (1, 1), (1, 1), (4, 4), (0, 0)]
+
+
 def test_stream_command_growing_witnesses():
     text = "".join(print_formula(f) + "\n" for f in family1(3))
     code, out, _ = _run_stream(text)

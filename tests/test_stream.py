@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -481,3 +482,80 @@ def test_search_counters_are_pinned(name):
     assert got == steps
     nodes = s.explorer.nodes.values()
     assert (len(nodes), sum(node.complete for node in nodes)) == session
+
+
+
+def _succ_chain(n):
+    return [parse(f"x{i + 1} = x{i} + 1") for i in range(1, n + 1)]
+
+
+_PINNED_EXPANSIONS = {  # per step: (expanded, replayed)
+    "family1": (_PINNED_STREAMS["family1"][0], [(1, 0), (1, 1), (1, 1), (1, 1)]),
+    "succ-chain": (_PINNED_STREAMS["succ-chain"][0], [(2, 0), (3, 2), (4, 3), (5, 4)]),
+    "quantifier-unsat": (_PINNED_STREAMS["quantifier-unsat"][0],
+                         [(2, 0), (3, 3), (2, 2), (0, 0)]),
+    "succ-24": (_succ_chain(24), [(2, 0)] + [(n + 1, n) for n in range(2, 25)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_EXPANSIONS))
+def test_step_expansion_counters_are_pinned(name):
+    # expanded counts the nodes whose edges a step derived, replayed those
+    # derived from an archived complete prefix; no search after unsat
+    formulas, expected = _PINNED_EXPANSIONS[name]
+    s = StreamSession()
+    assert [(r.expanded, r.replayed) for r in map(s.push, formulas)] == expected
+
+
+def _succ_witness(n):
+    # the union lists x2 before x1, then x3 ... x{n+1}; symbol k sets the
+    # track of x{k+1}, so the word spells x{k+1} = x1 + k
+    return [tuple(int(col == p) for col in range(n + 1)) for p in (1, 0, *range(2, n + 1))]
+
+
+_FROM_SCRATCH_PINS = {  # per prefix: witness, (explored step, total, deepest expanded)
+    "family1-5": (family1(5), [[(1,) * (2 * n)] for n in range(1, 6)],
+                  [(1, 1, 0), (3, 4, 0), (7, 11, 0), (15, 26, 0), (31, 57, 0)]),
+    "succ-6": (_succ_chain(6), [_succ_witness(n) for n in range(1, 7)],
+               [(2, 2, 1), (3, 5, 2), (4, 9, 3), (5, 14, 4), (6, 20, 5), (7, 27, 6)]),
+    "succ-24": (_succ_chain(24), [_succ_witness(n) for n in range(1, 25)],
+                [(2, 2, 1), (3, 5, 2), (4, 9, 3), (5, 14, 4), (6, 20, 5), (7, 27, 6),
+                 (8, 35, 7), (9, 44, 8), (10, 54, 9), (11, 65, 10), (12, 77, 11),
+                 (13, 90, 12), (14, 104, 13), (15, 119, 14), (16, 135, 15), (17, 152, 16),
+                 (18, 170, 17), (19, 189, 18), (20, 209, 19), (21, 230, 20), (22, 252, 21),
+                 (23, 275, 22), (24, 299, 23), (25, 324, 24)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROM_SCRATCH_PINS))
+def test_from_scratch_counters_are_pinned(name):
+    # every prefix is searched from nothing: each target is reached through
+    # all components at once, with no placed prefix to extend
+    formulas, witnesses, explored = _FROM_SCRATCH_PINS[name]
+    _, reports = from_scratch_check(formulas)
+    assert [r.verdict.witness for r in reports] == witnesses
+    assert [(r.states_explored_step, r.states_explored_total, r.max_expanded_depth)
+            for r in reports] == explored
+
+
+def test_long_succ_chain_counters_are_pinned():
+    s = StreamSession()
+    reports = [s.push(f) for f in _succ_chain(24)]
+    assert [r.verdict.witness for r in reports] == [_succ_witness(n) for n in range(1, 25)]
+    assert [(r.states_explored_step, r.states_explored_total, r.max_expanded_depth)
+            for r in reports] == [(2, 2, 1)] + [(1, n + 1, n) for n in range(2, 25)]
+    nodes = s.explorer.nodes.values()
+    assert (len(nodes), sum(node.complete for node in nodes)) == (349, 324)
+
+
+def test_archived_edges_are_not_gc_tracked():
+    # edges are all-int triples, which the collector untracks once it has
+    # seen them; edges that held objects made every one a container to scan
+    # and let full collections pause single pushes
+    s = StreamSession()
+    for f in _succ_chain(24):
+        s.push(f)
+    gc.collect()
+    entries = [e for node in s.explorer.nodes.values() if node.complete for e in node.out]
+    assert len(entries) == 348
+    assert not any(gc.is_tracked(e) for e in entries)
