@@ -4,8 +4,12 @@ A word symbol carries one bit per track; transition labels are cubes,
 strings over ``{0, 1, X}`` where ``X`` matches either bit.  Deterministic
 automata keep, per state, a cube list that is pairwise disjoint and
 jointly exhaustive, so every concrete symbol matches exactly one cube.
-The product step works on the same cubes as ``(care, value)`` int masks,
-converted at its callers' boundaries.
+Every operation that widens or meets cubes (``intersect``, ``cylindrify``,
+``Dfa.audit`` and the stream's product search) works on the same cubes
+as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
+product step ``cube_product`` and printed back by ``mask_cube``.  Code
+that matches a symbol or cofactors a cube list (``Dfa.step``,
+``_region_map``, ``project``) keeps the strings.
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -64,24 +68,6 @@ def track_columns(tracks: TrackSet, union: TrackSet) -> tuple[int, ...]:
 
 # --- cube helpers ------------------------------------------------------------
 
-def cube_overlay(cube: str, other: str, cols: Sequence[int]) -> Optional[str]:
-    """Intersection of ``cube`` with ``other`` laid onto its columns ``cols``.
-
-    Column ``cols[i]`` of the result must match both ``other[i]`` and the
-    cube's own character there; None when no symbol matches both.
-    """
-    out = list(cube)
-    for ch, col in zip(other, cols):
-        if ch == "X":
-            continue
-        cur = out[col]
-        if cur == "X":
-            out[col] = ch
-        elif cur != ch:
-            return None
-    return "".join(out)
-
-
 def cube_matches(cube: str, symbol: Symbol) -> bool:
     return all(c == "X" or int(c) == bit for c, bit in zip(cube, symbol))
 
@@ -89,14 +75,9 @@ def cube_matches(cube: str, symbol: Symbol) -> bool:
 _BITS = bytes.maketrans(b"01X", b"\0\1\0")
 
 
-def _symbol(bits: str) -> Symbol:
-    # one byte translation: "1" -> 1, "0" and "X" -> 0
-    return tuple(bits.encode().translate(_BITS))
-
-
 def cube_min_symbol(cube: str) -> Symbol:
     """Least concrete symbol in a cube: don't-care bits become 0."""
-    return _symbol(cube)
+    return tuple(cube.encode().translate(_BITS))  # one byte translation
 
 
 # A mask cube is a pair of ints (care, value) over a symbol of some width:
@@ -108,7 +89,7 @@ def cube_min_symbol(cube: str) -> Symbol:
 
 def mask_min_symbol(value: int, width: int) -> Symbol:
     """Least concrete symbol of a mask cube with this ``value``."""
-    return _symbol(bin(value | 1 << width)[3:])
+    return cube_min_symbol(bin(value | 1 << width)[3:])
 
 
 @lru_cache(maxsize=1 << 12)  # automata reuse few distinct cubes across their states
@@ -241,18 +222,18 @@ class Dfa:
             raise ValueError("initial state out of range")
         if any(s < 0 or s >= self.num_states for s in self.accepting):
             raise ValueError("accepting state out of range")
-        full = 1 << self.width
         for state, edges in enumerate(self.delta):
-            covered = 0
-            for i, (cube, dst) in enumerate(edges):
-                if len(cube) != self.width:
-                    raise ValueError(f"cube width mismatch at state {state}")
+            for cube, dst in edges:
+                if len(cube) != self.width or cube.strip("01X"):
+                    raise ValueError(f"malformed cube {cube!r} at state {state}")
                 if not 0 <= dst < self.num_states:
                     raise ValueError(f"dangling transition {state} -> {dst}")
-                covered += 1 << cube.count("X")
-                for other, _ in edges[i + 1:]:
-                    if cube_overlay(cube, other, range(self.width)) is not None:
-                        raise ValueError(f"overlapping cubes at state {state}")
+        full = 1 << self.width
+        for state, row in enumerate(mask_rows(self, self.tracks)):
+            for i, edge in enumerate(row):
+                if next(cube_product((edge,), row[i + 1:]), None) is not None:
+                    raise ValueError(f"overlapping cubes at state {state}")
+            covered = sum(full >> care.bit_count() for care, _, _ in row)
             if covered != full:
                 raise ValueError(f"state {state} covers {covered}/{full} symbols")
 
@@ -363,12 +344,9 @@ def cylindrify(a: Dfa, extra: TrackSet) -> Dfa:
     tracks = merge_tracks(a.tracks, extra)
     if len(tracks) == a.width:
         return a
-    cols = track_columns(a.tracks, tracks)
-    blank = "X" * len(tracks)
-    delta = tuple(
-        tuple((cube_overlay(blank, cube, cols), dst) for cube, dst in edges)
-        for edges in a.delta
-    )
+    width = len(tracks)
+    delta = tuple(tuple((mask_cube(care, value, width), dst) for care, value, dst in row)
+                  for row in mask_rows(a, tracks))
     return Dfa(tracks, a.num_states, a.initial, a.accepting, delta)
 
 
@@ -457,7 +435,8 @@ def minimize(a: Dfa) -> Dfa:
     renamed = {old: b for (old, _), b in groups.items()}
     covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover) for _, cover in groups)
     accepting_blocks = frozenset(block[s] for s in states if s in a.accepting)
-    alive = coreachable(Dfa(a.tracks, len(covers), block[a.initial], accepting_blocks, covers))
+    # a block's states are all live or all dead: they accept the same words
+    alive = {block[s] for s in coreachable(a) if s in block}
 
     # covers come sorted from _region_map, so discovery order is canonical
     bfs, _ = _explore(block[a.initial], covers.__getitem__)
@@ -507,11 +486,9 @@ def is_empty(a: Dfa) -> bool:
 
 
 def language_equiv(a: Dfa, b: Dfa) -> bool:
-    tracks = merge_tracks(a.tracks, b.tracks)
-    ua = cylindrify(a, tracks)
-    ub = cylindrify(b, tracks)
-    return (find_witness(intersect(ua, complement(ub))) is None
-            and find_witness(intersect(ub, complement(ua))) is None)
+    # intersect reads both operands over the union of their tracks
+    return (find_witness(intersect(a, complement(b))) is None
+            and find_witness(intersect(b, complement(a))) is None)
 
 
 # --- text dump ----------------------------------------------------------------
@@ -528,11 +505,13 @@ def dump(a: Dfa) -> str:
 
 
 def parse_dump(text: str) -> Dfa:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[0] != "dfa":
+    """Read a ``dump``.  A dump is outside input: a malformed one raises ValueError."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2 or lines[0][0] != "dfa" or lines[1][0] != "accepting":
         raise ValueError("not an automaton dump")
-    fields = dict(part.split("=", 1) for part in header[1:])
+    fields = dict(part.split("=", 1) for part in lines[0][1:])
+    if sorted(fields) != ["initial", "states", "tracks"]:
+        raise ValueError(f"dump header needs tracks=, states= and initial=, has {sorted(fields)}")
     if fields["tracks"]:
         tracks = make_tracks(
             (int(i), Kind(int(k)))
@@ -542,11 +521,13 @@ def parse_dump(text: str) -> Dfa:
         tracks = ()
     num_states = int(fields["states"])
     initial = int(fields["initial"])
-    accepting = frozenset(int(s) for s in lines[1].split()[1:])
+    accepting = frozenset(int(s) for s in lines[1][1:])
     edges: dict[int, list[tuple[str, int]]] = {}
-    for line in lines[2:]:
-        _, src, cube, dst = line.split()
+    for parts in lines[2:]:
+        keyword, src, cube, dst = parts
+        if keyword != "trans" or not 0 <= int(src) < num_states:
+            raise ValueError(f"not a transition of a {num_states}-state dump: {' '.join(parts)!r}")
         edges.setdefault(int(src), []).append(("" if cube == "-" else cube, int(dst)))
     dfa = make_dfa(tracks, num_states, initial, accepting, edges)
-    dfa.audit()  # a dump is outside input: overlapping or missing cubes are rejected here
+    dfa.audit()  # overlapping, missing or malformed cubes are rejected here
     return dfa

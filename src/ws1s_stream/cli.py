@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from typing import TextIO
 
 from . import __version__
-from .automata import dump, find_witness
+from .automata import Dfa, coreachable, dump
 from .bench import BenchConfig, run_bench
 from .compiler import MemoCache, TrackRegistry, compile_formula
 from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
@@ -85,37 +85,38 @@ def _session() -> StreamSession:
     return StreamSession(state_budget=explore, determinize_budget=determinize)
 
 
-def _compile_once(text: str, no_memo: bool):
-    """The formula's automaton and the registry that names its tracks."""
+def _compile_once(text: str, no_memo: bool) -> Dfa:
+    """The formula's automaton, its free variables on tracks in order of occurrence."""
     formula = parse(text)
     registry = TrackRegistry()
     for v in free_vars(formula):
         registry.register(v)
     cache = None if no_memo else MemoCache()
     _, determinize = budget_caps(_state_budget())
-    return compile_formula(formula, registry, cache, determinize_budget=determinize), registry
+    return compile_formula(formula, registry, cache, determinize_budget=determinize)
 
 
 def cmd_check(args) -> int:
-    dfa, registry = _compile_once(args.formula, no_memo=False)
-    witness = find_witness(dfa)
+    """Decide one formula as a one-conjunct session: the same compile and
+    search as ``stream``, under the same ``WS1S_STATE_BUDGET`` caps."""
+    session = _session()
+    report = session.push(parse(args.formula))
+    witness = session.witness_maps(report.verdict)
     if witness is None:
         print("unsat")
     else:
-        names = [registry.name_of(t.index) for t in dfa.tracks]
-        encoded = [dict(zip(names, sym)) for sym in witness]
-        print(f"sat witness={json.dumps(encoded, separators=(',', ':'))}")
+        print(f"sat witness={json.dumps(witness, separators=(',', ':'))}")
     return EXIT_OK
 
 
 def cmd_compile(args) -> int:
-    dfa, _ = _compile_once(args.formula, no_memo=args.no_memo)
+    dfa = _compile_once(args.formula, no_memo=args.no_memo)
     text = dump(dfa)
     if args.dump_automaton:
         with open(args.dump_automaton, "w") as fh:
             fh.write(text)
     print(f"states={dfa.num_states} tracks={len(dfa.tracks)} "
-          f"accepting={len(dfa.accepting)} empty={find_witness(dfa) is None}")
+          f"accepting={len(dfa.accepting)} empty={dfa.initial not in coreachable(dfa)}")
     if not args.dump_automaton:
         sys.stdout.write(text)
     return EXIT_OK

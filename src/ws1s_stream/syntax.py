@@ -252,7 +252,14 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.formula()
+        try:
+            f = self.formula()
+        except RecursionError:
+            # nesting deeper than the interpreter stack is bad input, not a
+            # crash: report it at the token the parser had reached
+            tok = self.peek()
+            raise ParseError(tok.line, tok.col, "a formula nested less deeply",
+                             tok.text or None) from None
         tok = self.peek()
         if tok.type != "eof":
             raise ParseError(tok.line, tok.col, "end of input", tok.text)

@@ -426,6 +426,23 @@ def test_parse_dump_rejects_overlapping_cubes():
         parse_dump(text)
 
 
+_HEADER = "dfa tracks=0:2 states=1 initial=0\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "dfa tracks=0:2 initial=0\naccepting 0\ntrans 0 X 0\n",
+    _HEADER + "rejecting 0\ntrans 0 X 0\n",
+    _HEADER + "accepting 0\nfoo 0 X 0\n",
+    _HEADER + "accepting 0\ntrans 0 X 0\ntrans 5 X 0\n",
+    _HEADER + "accepting 0\ntrans 0 X 0\ntrans -1 X 0\n",
+    _HEADER + "accepting 0\ntrans 0 0 0\ntrans 0 2 0\n",
+], ids=["empty", "no-states", "rejecting", "foo", "src-5", "src-minus-1", "cube-2"])
+def test_parse_dump_rejects_malformed_dumps(text):
+    with pytest.raises(ValueError):
+        parse_dump(text)
+
+
 def test_zero_track_automata():
     dfa = _compile("ex2 Y: ex1 x: x in Y")
     assert dfa.width == 0

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
 
+from formula_gen import random_formula
 from ws1s_stream.automata import language_equiv, parse_dump
 from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
 from ws1s_stream.cli import main, stream_command
@@ -181,6 +184,52 @@ def test_cli_check(capsys):
     assert capsys.readouterr().out.startswith("sat witness=")
     assert main(["check", "x in Y & ~(x in Y)"]) == 0
     assert capsys.readouterr().out.strip() == "unsat"
+
+
+_README_FORMULAS = [
+    "x in Y & (ex1 z: z < x)", "ex2 Y: x in Y", "x = y + 1",
+    "x1 in Y1", "ex2 W: x2 in W", "~(x1 in Y1)",
+    " & ".join(f"x{i} in Y{i}" for i in range(1, 9)),
+]
+
+
+def test_cli_check_output_is_pinned(monkeypatch, capsys):
+    # exit code and stdout of check on a seeded corpus; the digest was taken
+    # from find_witness on each compiled automaton, the reference search
+    monkeypatch.delenv("WS1S_STATE_BUDGET", raising=False)
+    rng = random.Random(2024)
+    corpus = [print_formula(random_formula(rng, max_depth=4)) for _ in range(200)]
+    digest = hashlib.sha256()
+    for text in corpus + _README_FORMULAS:
+        code = main(["check", text])
+        digest.update(f"{code} {capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "9ce625877c2d10cbe081aace25ec0951bba56a593644e4b490dbc8fd03cea2b8"
+
+
+@pytest.mark.parametrize("budget, code", [("3", 3), ("5", 0)])
+def test_cli_check_honours_the_exploration_budget(budget, code, monkeypatch, capsys):
+    monkeypatch.setenv("WS1S_STATE_BUDGET", budget)
+    assert main(["check", "x1 in Y1 & x2 < x1"]) == code
+    err = capsys.readouterr().err
+    assert ("product exploration" in err) == (code == 3)
+
+
+_DEEP = "(" * 200 + "x in Y" + ")" * 200
+
+
+def test_cli_check_deep_nesting_exits_2(capsys):
+    assert main(["check", _DEEP]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested less deeply" in err
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_stream_command_deep_nesting_fails_its_line(skip):
+    code, out, err = _run_stream(f"{_DEEP}\nx in Y\n", skip_bad_lines=skip)
+    assert code == (0 if skip else 2)
+    assert err.startswith("line 1: ") and "nested less deeply" in err
+    assert out == ("step=1 verdict=sat witness=[{\"x\":1,\"Y\":1}]\n" if skip else "")
 
 
 def test_cli_parse_error_exit_code(capsys):

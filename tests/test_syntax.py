@@ -177,3 +177,10 @@ def test_traversals_reject_non_formula_nodes(name):
     for bad in (42, And(In(x, Y), 42), Exists(x, Not("x in Y"))):
         with pytest.raises(TypeError):
             getattr(syntax, name)(bad)
+
+
+def test_deep_nesting_is_a_parse_error():
+    # no depth cap: what fits on the interpreter stack parses
+    assert parse("~" * 900 + "x in Y") is not None
+    with pytest.raises(ParseError, match="nested less deeply"):
+        parse("(" * 200 + "x in Y" + ")" * 200)
