@@ -13,7 +13,6 @@ from .stream import (
     INCREMENTAL,
     StepReport,
     StreamSession,
-    budget_caps,
     from_scratch_check,
 )
 from .syntax import Exists, Formula, In, Kind, VarId
@@ -80,12 +79,10 @@ class BenchConfig:
 
 
 def _run_mode(mode: str, formulas: Sequence[Formula], budget: int | None) -> list[StepReport]:
-    explore, determinize = budget_caps(budget)
     if mode == INCREMENTAL:
-        session = StreamSession(state_budget=explore, determinize_budget=determinize)
+        session = StreamSession(budget=budget)
         return [session.push(f) for f in formulas]
-    _, reports = from_scratch_check(formulas, state_budget=explore,
-                                    determinize_budget=determinize)
+    _, reports = from_scratch_check(formulas, budget=budget)
     return reports
 
 

@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 all steps verdicted, 2 parse or kind error, bad flag or
-a file that cannot be opened, 3 budget exceeded, 4 incremental vs
-from-scratch disagreement.  The environment variable
-``WS1S_STATE_BUDGET`` overrides both the session exploration cap and
-the determinization cap in every subcommand; it must be a positive
-integer, otherwise the command exits 2.
+Exit codes: 0 all steps verdicted, 2 parse or kind error, a formula
+nested too deeply to compile or evaluate, bad flag or a file that
+cannot be opened, 3 budget exceeded, 4 incremental vs from-scratch
+disagreement.  The environment variable ``WS1S_STATE_BUDGET`` is the
+one budget of ``StreamSession(budget=...)``: it caps both the
+exploration and the determinization in every subcommand, and it must
+be a positive integer, otherwise the command exits 2.  ``stream`` fails
+a line that parse or push rejects with exit 2 and, under
+``--skip-bad-lines``, goes on with the next; a budget error ends it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from contextlib import nullcontext
 from typing import TextIO
 
 from . import __version__
-from .automata import Dfa, coreachable, dump
+from .automata import coreachable, dump
 from .bench import BenchConfig, run_bench
-from .compiler import MemoCache, TrackRegistry, compile_formula
+from .compiler import compile_formula
 from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
 from .oracle import sat_bounded
-from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession, budget_caps
+from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession
 from .syntax import free_vars, parse
 
 EXIT_OK = 0
@@ -81,19 +84,7 @@ def _modes(text: str) -> tuple[str, ...]:
 
 
 def _session() -> StreamSession:
-    explore, determinize = budget_caps(_state_budget())
-    return StreamSession(state_budget=explore, determinize_budget=determinize)
-
-
-def _compile_once(text: str, no_memo: bool) -> Dfa:
-    """The formula's automaton, its free variables on tracks in order of occurrence."""
-    formula = parse(text)
-    registry = TrackRegistry()
-    for v in free_vars(formula):
-        registry.register(v)
-    cache = None if no_memo else MemoCache()
-    _, determinize = budget_caps(_state_budget())
-    return compile_formula(formula, registry, cache, determinize_budget=determinize)
+    return StreamSession(budget=_state_budget())
 
 
 def cmd_check(args) -> int:
@@ -110,7 +101,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    dfa = _compile_once(args.formula, no_memo=args.no_memo)
+    """The formula's automaton, its free variables on tracks in order of
+    occurrence, under the registry, cache and determinization cap of a
+    fresh session."""
+    formula = parse(args.formula)
+    session = _session()
+    for v in free_vars(formula):
+        session.registry.register(v)
+    dfa = compile_formula(formula, session.registry, None if args.no_memo else session.cache,
+                          determinize_budget=session.determinize_budget)
     text = dump(dfa)
     if args.dump_automaton:
         with open(args.dump_automaton, "w") as fh:
@@ -137,17 +136,12 @@ def stream_command(
         if not text:
             continue
         try:
-            formula = parse(text)
-        except WsError as exc:
+            report = session.push(parse(text))
+        except WsError as exc:  # push is atomic, so a skipped line leaves no trace
             print(f"line {lineno}: {exc}", file=err)
             err.flush()
-            if skip_bad_lines:
+            if skip_bad_lines and _exit_code(exc) == EXIT_PARSE:
                 continue
-            return _exit_code(exc)
-        try:
-            report = session.push(formula)
-        except WsError as exc:
-            print(f"line {lineno}: {exc}", file=err)
             return _exit_code(exc)
         verdict = report.verdict
         witness = session.witness_maps(verdict)
@@ -266,6 +260,9 @@ def main(argv=None) -> int:
     except WsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except RecursionError:  # parsed, but too deep for a pass that recurses over it
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:  # an input or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

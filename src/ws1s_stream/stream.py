@@ -54,7 +54,7 @@ from .automata import (
     merge_tracks,
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
-from .errors import StateBudgetExceeded
+from .errors import StateBudgetExceeded, WsError
 from .syntax import Formula, free_vars
 
 DEFAULT_SESSION_BUDGET = 5_000_000
@@ -316,23 +316,24 @@ class StreamSession:
     tracks, so an entry means the same automaton in every registry.
     Sessions are single-threaded; sessions that run concurrently and
     share a cache need an external lock around it.
+
+    ``budget`` is one optional cap, as ``WS1S_STATE_BUDGET`` is: a
+    positive int caps both the product states a search may place and the
+    subset states a determinization may build; None keeps the defaults
+    (``DEFAULT_SESSION_BUDGET`` and ``DEFAULT_DETERMINIZE_BUDGET``).
+    A push that exceeds either raises ``StateBudgetExceeded``, and a
+    formula nested too deeply to compile raises ``WsError``.
     """
 
-    def __init__(
-        self,
-        *,
-        cache: MemoCache | None = None,
-        state_budget: int = DEFAULT_SESSION_BUDGET,
-        determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
-    ):
-        if state_budget <= 0:
-            raise ValueError("state budget must be positive")
+    def __init__(self, *, cache: MemoCache | None = None, budget: int | None = None):
+        if budget is not None and (type(budget) is not int or budget <= 0):  # a bool is no budget
+            raise ValueError(f"budget must be a positive int or None, not {budget!r}")
         self.registry = TrackRegistry()
         self.cache = cache if cache is not None else MemoCache()
         self.explorer = ProductExplorer()
         self.reports: list[StepReport] = []
-        self.state_budget = state_budget
-        self.determinize_budget = determinize_budget
+        self.state_budget = budget or DEFAULT_SESSION_BUDGET
+        self.determinize_budget = budget or DEFAULT_DETERMINIZE_BUDGET
 
     @property
     def components(self) -> list[Dfa]:
@@ -361,7 +362,8 @@ class StreamSession:
 
         A registration, compile or search that raises leaves registered
         variables, components, reports and explored nodes as they were;
-        only the memo cache keeps what the attempt added to it.
+        only the memo cache keeps what the attempt added to it.  A formula
+        too deep for the passes that recurse over it fails as a ``WsError``.
         """
         kept, registered = self.step, len(self.registry)
         searching = self.current_verdict().is_sat  # after unsat, nothing to search
@@ -384,9 +386,11 @@ class StreamSession:
             else:
                 partial, explored, max_depth = StepVerdict(0, "unsat", None), 0, -1
                 expanded = replayed = 0
-        except BaseException:
+        except BaseException as exc:
             self.explorer.drop_components(kept)
             self.registry.unregister_after(registered)
+            if isinstance(exc, RecursionError):
+                raise WsError("formula nested too deeply to compile") from None
             raise
         process_ns = time.perf_counter_ns() - t1 if searching else 0
 
@@ -405,31 +409,19 @@ class StreamSession:
         return [dict(zip(names, symbol)) for symbol in verdict.witness]
 
 
-def budget_caps(budget: int | None) -> tuple[int, int]:
-    """Exploration and determinization caps from one optional budget that
-    bounds both, as ``WS1S_STATE_BUDGET`` does; None keeps the defaults."""
-    if budget is None:
-        return DEFAULT_SESSION_BUDGET, DEFAULT_DETERMINIZE_BUDGET
-    return budget, budget
-
-
 def from_scratch_check(
-    formulas: Sequence[Formula],
-    *,
-    state_budget: int = DEFAULT_SESSION_BUDGET,
-    determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
+    formulas: Sequence[Formula], *, budget: int | None = None
 ) -> tuple[StepVerdict, list[StepReport]]:
     """The naive baseline: for every prefix, recompile everything and search
     the product from its initial state, reusing nothing across prefixes.
 
     Each prefix takes the session's own compile-and-search path, on a
-    fresh session; only the explored-state total runs across prefixes.
+    fresh ``StreamSession(budget=budget)``; only the explored-state total
+    runs across prefixes.
     """
     reports: list[StepReport] = []
     for i in range(1, len(formulas) + 1):
-        session = StreamSession(state_budget=state_budget,
-                                determinize_budget=determinize_budget)
-        report = session._conjoin(formulas[:i], FROM_SCRATCH)
+        report = StreamSession(budget=budget)._conjoin(formulas[:i], FROM_SCRATCH)
         before = reports[-1].states_explored_total if reports else 0
         reports.append(replace(report, states_explored_total=before + report.states_explored_step))
     final = reports[-1].verdict if reports else StepVerdict(0, "sat", [])

@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,53 @@ def test_stream_command_deep_nesting_fails_its_line(skip):
     assert code == (0 if skip else 2)
     assert err.startswith("line 1: ") and "nested less deeply" in err
     assert out == ("step=1 verdict=sat witness=[{\"x\":1,\"Y\":1}]\n" if skip else "")
+
+
+# formulas that parse (the parser builds & and | chains in a loop) but are
+# too deep for the passes that recurse over the tree
+_LONG_AND = " & ".join(["x in Y"] * 1000)
+_LONG_OR = " | ".join(["x in Y"] * 400)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check"], _LONG_AND), (["compile"], _LONG_AND), (["oracle", "check", "--k", "2"], _LONG_AND),
+    (["check"], _LONG_OR), (["compile"], _LONG_OR),
+    # the oracle evaluates the 400 disjuncts within the stack; it has no case here
+], ids=["check-and", "compile-and", "oracle-and", "check-or", "compile-or"])
+def test_cli_formula_too_deep_to_compile_exits_2(argv, text, capsys):
+    assert main(argv + [text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("text", [_LONG_AND, _LONG_OR], ids=["and", "or"])
+def test_stream_command_formula_too_deep_to_compile_fails_its_line(text, skip):
+    code, out, err = _run_stream(f"x in Y\n{text}\ny < x\n", skip_bad_lines=skip)
+    assert code == (0 if skip else 2)
+    assert err.startswith("line 2: ") and "nested too deeply" in err and err.count("\n") == 1
+    assert out.startswith("step=1 verdict=sat")
+    assert out.count("\n") == (2 if skip else 1)
+    if skip:
+        assert out.splitlines()[1].startswith("step=2 verdict=sat")
+
+
+def test_stream_command_skip_bad_lines_still_stops_at_a_budget_error(monkeypatch):
+    monkeypatch.setenv("WS1S_STATE_BUDGET", "2")
+    text = "".join(print_formula(f) + "\n" for f in family1(4))
+    code, out, err = _run_stream(text, skip_bad_lines=True)
+    assert code == 3
+    assert "budget" in err and err.count("\n") == 1
+
+
+def test_readme_stream_example_is_what_stream_prints():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    match = re.search(r"^\$ printf '(.*)' \| ws1s-stream stream\n(.*?)^```", readme, re.M | re.S)
+    assert match is not None
+    code, out, err = _run_stream(match[1].replace("\\n", "\n"))
+    assert (code, err) == (0, "")
+    assert out == match[2] and out.count("\n") == 3
 
 
 def test_cli_parse_error_exit_code(capsys):

@@ -8,7 +8,7 @@ from formula_gen import random_formula
 from ws1s_stream.automata import accepts, cylindrify, find_witness, intersect
 from ws1s_stream.bench import family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula
-from ws1s_stream.errors import KindConflict, StateBudgetExceeded
+from ws1s_stream.errors import KindConflict, StateBudgetExceeded, WsError
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
     StreamSession,
@@ -32,7 +32,7 @@ def _random_stream(rng, length):
 
 def test_session_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
-        StreamSession(state_budget=0)
+        StreamSession(budget=0)
 
 
 def test_fresh_session_is_empty():
@@ -267,7 +267,7 @@ def test_explored_totals_monotone():
 
 
 def test_state_budget_enforced():
-    s = StreamSession(state_budget=3)
+    s = StreamSession(budget=3)
     with pytest.raises(StateBudgetExceeded):
         for f in family1(6):
             s.push(f)
@@ -373,7 +373,7 @@ def _session_state(s):
 
 def test_push_that_exceeds_the_budget_leaves_the_session_as_it_was():
     formulas = family1(8)
-    s = StreamSession(state_budget=40)
+    s = StreamSession(budget=40)
     for f in formulas[:4]:
         s.push(f)
     for f in formulas[4:]:
@@ -383,7 +383,7 @@ def test_push_that_exceeds_the_budget_leaves_the_session_as_it_was():
         assert _session_state(s) == before
     assert s.step == len(s.components) == len(s.explorer.components) == len(s.verdicts) == 4
 
-    fresh = StreamSession(state_budget=40)
+    fresh = StreamSession(budget=40)
     for f in formulas[:4]:
         fresh.push(f)
     later, expected = s.push(parse("x1 = x2")), fresh.push(parse("x1 = x2"))
@@ -415,7 +415,8 @@ def test_memo_counters_on_a_short_stream():
 
 
 def test_failed_push_unregisters_its_free_variables():
-    s = StreamSession(determinize_budget=1)
+    s = StreamSession()
+    s.determinize_budget = 1
     with pytest.raises(StateBudgetExceeded):
         s.push(parse("ex2 W: x in W"))
     s.push(parse("y in Y"))
@@ -434,6 +435,40 @@ def test_registration_that_raises_midway_is_rolled_back():
     s.push(parse("y in Z"))
     assert s.push(parse("a < y")).verdict.is_sat
     assert len(s.registry) == 4
+
+
+def test_one_budget_caps_determinization():
+    with pytest.raises(StateBudgetExceeded, match="during determinization"):
+        StreamSession(budget=1).push(parse("ex2 W: x in W"))
+
+
+def test_one_budget_caps_the_from_scratch_search():
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        from_scratch_check(family1(4), budget=3)
+
+
+def test_default_budget_keeps_both_caps():
+    s = StreamSession()
+    assert (s.state_budget, s.determinize_budget) == (5_000_000, 1_000_000)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, "3", True])
+def test_budget_that_is_not_a_positive_int_is_rejected(budget):
+    with pytest.raises(ValueError):
+        StreamSession(budget=budget)
+    with pytest.raises(ValueError):
+        from_scratch_check(family1(1), budget=budget)
+
+
+def test_push_too_deep_to_compile_raises_and_leaves_the_session_as_it_was():
+    s = StreamSession()
+    s.push(parse("x in Y"))
+    before, registered = _session_state(s), len(s.registry)
+    with pytest.raises(WsError, match="nested too deeply"):
+        s.push(parse(" | ".join(["z in W"] * 400)))
+    assert _session_state(s) == before and len(s.registry) == registered
+    assert s.push(parse("x < z")).verdict.is_sat
+    assert [s.registry.name_of(t.index) for t in s.explorer.union_tracks] == ["x", "Y", "z"]
 
 
 def test_second_search_at_the_same_arity_keeps_the_verdict():
