@@ -145,33 +145,28 @@ def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
     With ``union`` the values of all matching cubes are unioned (sets);
     otherwise exactly one cube must match each symbol.
 
-    The cofactoring splits only where the result can differ, so its cost
-    follows the cube structure, not 2^width.  On the subspace from ``pos``
-    on it returns early in three cases:
+    The one base case is ``pos == width``, a single symbol.  The
+    cofactoring splits only where the result can differ, so its cost
+    follows the cube structure, not 2^width, through two shortcuts on the
+    subspace from ``pos`` on:
 
-    - no cube left reads a bit from ``pos`` on: every symbol there sees the
-      same cubes, so the leaf value, partition check included, holds for
-      the whole subspace as one all-X cube;
     - without ``union``, the cubes left share one value and their sizes add
       up to the subspace: one all-X cube.  This assumes disjoint cubes, as
       every ``Dfa`` has (``Dfa.audit`` checks it); any other list falls
       through to the split, where a missing symbol or a symbol with two
       values raises ValueError;
     - no cube left reads bit ``pos``: both halves are the same, so one
-      recursion is made and prefixed with X.
+      recursion is made and prefixed with X (a tail that no cube reads
+      is skipped this way, one position at a time).
     """
 
     def go(es: list[tuple[str, object]], pos: int):
+        if pos == width:
+            vals = {v for _, v in es}
+            if not union and len(vals) != 1:
+                raise ValueError(f"cube list is not a partition: {es}")
+            return [("", frozenset().union(*vals) if union else vals.pop())]
         rest = width - pos
-        if all(c.count("X", pos) == rest for c, _ in es):  # no cube reads a bit from pos on
-            if union:
-                val = frozenset().union(*(v for _, v in es)) if es else frozenset()
-            else:
-                vals = {v for _, v in es}
-                if len(vals) != 1:
-                    raise ValueError(f"cube list is not a partition: {es}")
-                val = vals.pop()
-            return [("X" * rest, val)]
         if (not union and len({v for _, v in es}) == 1
                 and sum(1 << c.count("X", pos) for c, _ in es) == 1 << rest):
             return [("X" * rest, es[0][1])]  # one value on a disjoint cover
@@ -396,7 +391,7 @@ def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
     """Subset construction over reachable subsets only."""
 
     def successors(subset: frozenset[int]) -> list[tuple[str, frozenset[int]]]:
-        edges = [(cube, dsts) for s in sorted(subset) for cube, dsts in n.delta[s]]
+        edges = [(cube, dsts) for s in subset for cube, dsts in n.delta[s]]
         return _region_map(edges, n.width, union=True)  # each value a frozenset
 
     order, delta = _explore(frozenset({n.initial}), successors, budget)
@@ -407,24 +402,23 @@ def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
 def minimize(a: Dfa) -> Dfa:
     """Unique minimal total DFA for the language, canonically numbered.
 
-    Partition refinement on block signatures; every cube list in the
-    result is in the canonical disjoint cover form of ``_region_map``, so
-    two minimizations of language-equal automata over the same tracks
-    produce byte-identical dumps.  The dead state, when reachable, gets
-    the last id.  A signature's cover costs time that follows the state's
-    cubes, not 2^width: positions its cubes do not read are never split on.
+    Partition refinement on block signatures over all states; unreachable
+    ones are refined too, then dropped by the numbering walk from the
+    initial block.  Every cube list in the result is in the canonical
+    disjoint cover form of ``_region_map``, so two minimizations of
+    language-equal automata over the same tracks produce byte-identical
+    dumps.  The dead state, when reachable, gets the last id.  A
+    signature's cover costs time that follows the state's cubes, not
+    2^width: positions its cubes do not read are never split on.
     """
-    states = sorted(_reaching([a.initial], [{dst for _, dst in edges} for edges in a.delta]))
-
-    block: dict[int, int] = {s: (1 if s in a.accepting else 0) for s in states}
+    block = [int(s in a.accepting) for s in range(a.num_states)]
     while True:
         groups: dict[tuple, int] = {}  # signature -> new block id
-        new_block: dict[int, int] = {}
-        for s in states:
-            edges = [(cube, block[dst]) for cube, dst in a.delta[s]]
-            sig = (block[s], tuple(_region_map(edges, a.width, union=False)))
-            new_block[s] = groups.setdefault(sig, len(groups))
-        split = len(groups) != len(set(block.values()))
+        new_block = []
+        for s, edges in enumerate(a.delta):
+            cover = _region_map([(cube, block[dst]) for cube, dst in edges], a.width, union=False)
+            new_block.append(groups.setdefault((block[s], tuple(cover)), len(groups)))
+        split = len(groups) != len(set(block))
         block = new_block
         if not split:
             break
@@ -434,16 +428,15 @@ def minimize(a: Dfa) -> Dfa:
     # groups holds the blocks in id order 0..n-1
     renamed = {old: b for (old, _), b in groups.items()}
     covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover) for _, cover in groups)
-    accepting_blocks = frozenset(block[s] for s in states if s in a.accepting)
     # a block's states are all live or all dead: they accept the same words
-    alive = {block[s] for s in coreachable(a) if s in block}
+    alive = {block[s] for s in coreachable(a)}
 
     # covers come sorted from _region_map, so discovery order is canonical
     bfs, _ = _explore(block[a.initial], covers.__getitem__)
     order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
     renumber = {b: i for i, b in enumerate(order)}
     delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
-    accepting = frozenset(renumber[b] for b in accepting_blocks)
+    accepting = frozenset(renumber[block[s]] for s in a.accepting if block[s] in renumber)
     return Dfa(a.tracks, len(order), renumber[block[a.initial]], accepting, delta)
 
 
@@ -482,13 +475,13 @@ def find_witness(a: Dfa) -> Optional[Witness]:
 
 
 def is_empty(a: Dfa) -> bool:
-    return find_witness(a) is None
+    """Whether ``a`` accepts no word, decided without building a witness."""
+    return a.initial not in coreachable(a)
 
 
 def language_equiv(a: Dfa, b: Dfa) -> bool:
     # intersect reads both operands over the union of their tracks
-    return (find_witness(intersect(a, complement(b))) is None
-            and find_witness(intersect(b, complement(a))) is None)
+    return is_empty(intersect(a, complement(b))) and is_empty(intersect(b, complement(a)))
 
 
 # --- text dump ----------------------------------------------------------------

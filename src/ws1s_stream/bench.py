@@ -76,6 +76,7 @@ class BenchConfig:
         bad = set(self.modes) - {INCREMENTAL, FROM_SCRATCH}
         if bad or not self.modes or len(set(self.modes)) != len(self.modes):
             raise ValueError(f"invalid modes {self.modes}")
+        StreamSession(budget=self.state_budget)  # the session's own budget check
 
 
 def _run_mode(mode: str, formulas: Sequence[Formula], budget: int | None) -> list[StepReport]:

@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from typing import TextIO
 
 from . import __version__
-from .automata import coreachable, dump
+from .automata import dump, is_empty
 from .bench import BenchConfig, run_bench
 from .compiler import compile_formula
 from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
@@ -115,7 +115,7 @@ def cmd_compile(args) -> int:
         with open(args.dump_automaton, "w") as fh:
             fh.write(text)
     print(f"states={dfa.num_states} tracks={len(dfa.tracks)} "
-          f"accepting={len(dfa.accepting)} empty={dfa.initial not in coreachable(dfa)}")
+          f"accepting={len(dfa.accepting)} empty={is_empty(dfa)}")
     if not args.dump_automaton:
         sys.stdout.write(text)
     return EXIT_OK

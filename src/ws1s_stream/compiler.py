@@ -253,7 +253,8 @@ def _memoized(cache: MemoCache | None, key: str, build) -> tuple[str, Dfa]:
 
 
 def _fold(f: Formula, env: dict[str, int], registry, cache, budget) -> tuple[str, Dfa]:
-    """Memo key and minimal automaton of a normalized formula, bottom-up."""
+    """Memo key and minimal automaton of a normalized formula, bottom-up;
+    every case, negation too, ends in ``minimize``'s canonical form."""
     match f:
         case In() | Less() | Succ() | EqFo() | Sub():
             a, b = operands(f)
@@ -261,8 +262,7 @@ def _fold(f: Formula, env: dict[str, int], registry, cache, budget) -> tuple[str
                              lambda: minimize(compile_atom(f, env)))
         case Not(body):
             key, inner = _fold(body, env, registry, cache, budget)
-            # complementing a minimal total DFA keeps it minimal
-            return _memoized(cache, f"~{key}", lambda: complement(inner))
+            return _memoized(cache, f"~{key}", lambda: minimize(complement(inner)))
         case And(left, right):
             lkey, ldfa = _fold(left, env, registry, cache, budget)
             rkey, rdfa = _fold(right, env, registry, cache, budget)

@@ -265,8 +265,7 @@ class ProductExplorer:
         if root_node.t is None:  # the initial state is free
             root_node.t = self._tuple(root_node)
             nodes[root_node.t] = root_node
-            if root:
-                extended_free.add(root_node.prefix)
+            extended_free.add(root_node.prefix)
         found = root_node if root_node.accepting else None
         seen = {root}  # placed by this search, not by an earlier one
         layer = [root]
@@ -419,6 +418,7 @@ def from_scratch_check(
     fresh ``StreamSession(budget=budget)``; only the explored-state total
     runs across prefixes.
     """
+    StreamSession(budget=budget)  # rejects a bad budget even with no formulas
     reports: list[StepReport] = []
     for i in range(1, len(formulas) + 1):
         report = StreamSession(budget=budget)._conjoin(formulas[:i], FROM_SCRATCH)

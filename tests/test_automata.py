@@ -185,6 +185,18 @@ def test_minimize_canonical_across_build_orders():
     assert dump(left) == dump(right)
 
 
+def test_minimize_drops_unreachable_states():
+    # exactly one 1-bit (waiting, seen, dead), and the same automaton with an
+    # unreachable universal state in front and an unreachable copy of "seen"
+    tracks = make_tracks([(0, Kind.SECOND_ORDER)])
+    trimmed = make_dfa(tracks, 3, 0, {1}, {
+        0: [("0", 0), ("1", 1)], 1: [("0", 1), ("1", 2)], 2: [("X", 2)]})
+    padded = make_dfa(tracks, 5, 1, {0, 2, 4}, {
+        0: [("X", 0)], 1: [("0", 1), ("1", 2)], 2: [("0", 2), ("1", 3)], 3: [("X", 3)],
+        4: [("0", 4), ("1", 3)]})
+    assert dump(minimize(padded)) == dump(minimize(trimmed))
+
+
 def test_minimize_never_grows_and_preserves_language(random_corpus):
     for dfa in random_corpus:
         small = minimize(dfa)
@@ -402,6 +414,11 @@ def test_emptiness_matches_reachability(random_corpus):
                     reachable.add(dst)
                     stack.append(dst)
         assert (find_witness(dfa) is None) == (not (reachable & dfa.accepting))
+
+
+def test_is_empty_agrees_with_the_witness_search(random_corpus):
+    for dfa in random_corpus + [complement(d) for d in random_corpus]:
+        assert is_empty(dfa) == (find_witness(dfa) is None)
 
 
 def test_compiled_languages_are_padding_invariant(random_corpus):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from formula_gen import random_formula
-from ws1s_stream.automata import language_equiv, parse_dump
+from ws1s_stream.automata import dump, language_equiv, minimize, parse_dump
 from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
 from ws1s_stream.cli import main, stream_command
 from ws1s_stream.compiler import TrackRegistry, compile_formula, restriction_automaton
@@ -294,6 +294,34 @@ def test_cli_compile_dump(tmp_path, capsys):
     dfa = parse_dump(path.read_text())
     assert dfa.num_states == 3
     assert main(["compile", "x in Y", "--no-memo"]) == 0
+
+
+# language-equal formulas whose normalized top node is a negation, with no
+# free first-order variable, or not; every compile output is minimize's form
+_NEGATION_FORMS = [
+    "~((Y sub Z) & (ex1 z: z in Y))",
+    "~((Y sub Z) & (ex1 z: z in Y)) & Y sub Y",
+    "(ex1 z: z in Y) -> ~(Y sub Z)",
+    "~(Y sub Z) | ~(ex1 z: z in Y)",
+]
+
+
+def test_cli_compile_dumps_negations_in_normal_form(capsys):
+    dumps = []
+    for text in _NEGATION_FORMS:
+        assert main(["compile", text]) == 0
+        dumps.append(capsys.readouterr().out.split("\n", 1)[1])
+        dfa = parse_dump(dumps[-1])
+        assert dump(dfa) == dump(minimize(dfa))
+    assert dumps == [dumps[0]] * len(dumps)
+
+
+def test_readme_dump_format_is_what_compile_prints(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    match = re.search(r"^## Automaton dump format\n\n```\n(.*?)^\.\.\.\n```", readme, re.M | re.S)
+    assert match is not None
+    assert main(["compile", "x in Y"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[1].startswith(match[1])
 
 
 def test_cli_stream_from_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from formula_gen import random_formula
 from ws1s_stream.automata import accepts, cylindrify, find_witness, intersect
-from ws1s_stream.bench import family1, family2
+from ws1s_stream.bench import BenchConfig, family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula
 from ws1s_stream.errors import KindConflict, StateBudgetExceeded, WsError
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
@@ -458,6 +458,11 @@ def test_budget_that_is_not_a_positive_int_is_rejected(budget):
         StreamSession(budget=budget)
     with pytest.raises(ValueError):
         from_scratch_check(family1(1), budget=budget)
+    # checked where the budget enters, with the session's message
+    with pytest.raises(ValueError, match="budget must be a positive int or None"):
+        from_scratch_check([], budget=budget)
+    with pytest.raises(ValueError, match="budget must be a positive int or None"):
+        BenchConfig(family=1, n_max=2, state_budget=budget)
 
 
 def test_push_too_deep_to_compile_raises_and_leaves_the_session_as_it_was():
