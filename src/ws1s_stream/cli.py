@@ -156,6 +156,8 @@ def stream_command(
                 "explored_total": report.states_explored_total,
                 "expanded": report.expanded,
                 "replayed": report.replayed,
+                "memo_hits": report.memo_hits,
+                "memo_misses": report.memo_misses,
             }
             if witness is not None:
                 record["witness"] = witness

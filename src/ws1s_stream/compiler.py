@@ -1,26 +1,35 @@
 """Translate normalized formulas into minimal automata, bottom-up.
 
 Variables own tracks: free variables get session-stable indices from the
-registry, bound variables get a per-name scratch track that exists only
-while the quantifier body is being built and is projected away before
-the result escapes.  First-order variables carry the exactly-one-1-bit
-restriction; it is conjoined at the outermost point where the variable
-is live (at quantification for bound ones, at top level for free ones)
-rather than inside every atom, which keeps intermediate products small.
+registry, bound variables a track one past every track in scope, which
+exists only while the quantifier body is being built and is projected
+away before the result escapes.  First-order variables carry the
+exactly-one-1-bit restriction; it is conjoined at the outermost point
+where the variable is live (at quantification for bound ones, at top
+level for free ones) rather than inside every atom, which keeps
+intermediate products small.
 
-Memoization is keyed on the normalized formula with every variable,
-free or bound, named by its track index; a bound variable's is its
-scratch track.  Keys are built bottom-up from the children's keys, and
-a key determines its automaton in any registry, so one cache may serve
-many sessions.  Quantified formulas differing only in binder names
-still compile separately, because scratch tracks are assigned per name.
+Memoization is keyed on a node's shape: the normalized formula with
+each of the node's tracks named by its rank among them.  A bound
+variable's track comes after every track in scope, so its rank is set
+by binder order, and no key names a track index.  Every node's
+automaton is ``minimize``'s normal form, which depends only on the
+language and the order of the tracks, not on their indices; so one key
+means one automaton up to its track labels, in any registry, and a hit
+is returned with the caller's tracks.  Keys are built bottom-up from
+the children's keys, an ``And`` adding which union ranks each operand
+has.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .automata import (
     DEFAULT_DETERMINIZE_BUDGET,
     Dfa,
+    Track,
+    TrackSet,
     complement,
     determinize,
     intersect,
@@ -54,9 +63,7 @@ class TrackRegistry:
 
     def __init__(self):
         self._free: dict[str, tuple[int, Kind]] = {}
-        self._scratch: dict[tuple[str, Kind], int] = {}
         self._names: dict[int, str] = {}
-        self._next = 0
 
     def register(self, var: VarId) -> int:
         entry = self._free.get(var.name)
@@ -67,8 +74,7 @@ class TrackRegistry:
                     f"{var.name} already registered as {kind.name}, now used as {var.kind.name}"
                 )
             return index
-        index = self._next
-        self._next += 1
+        index = len(self._free)
         self._free[var.name] = (index, var.kind)
         self._names[index] = var.name
         return index
@@ -84,16 +90,6 @@ class TrackRegistry:
             )
         return index
 
-    def scratch_track(self, var: VarId) -> int:
-        """Track for a bound variable; stable per (name, kind), never registered."""
-        key = (var.name, var.kind)
-        index = self._scratch.get(key)
-        if index is None:
-            index = self._next
-            self._next += 1
-            self._scratch[key] = index
-        return index
-
     def name_of(self, index: int) -> str:
         return self._names[index]
 
@@ -104,21 +100,26 @@ class TrackRegistry:
     def unregister_after(self, count: int) -> None:
         """Forget every free variable registered after the first ``count``.
 
-        The index counter stays where it is: scratch tracks come from it
-        too, and memo keys name tracks by index, so no index is handed
-        out twice.
+        Their indices are handed out again.  That is sound: memo keys
+        name tracks by rank, not index, and a bound variable's track is
+        chosen at compile time above every free track, so unique indices
+        only keep the tracks of one compile apart.
         """
         for name in list(self._free)[count:]:
             del self._names[self._free.pop(name)[0]]
 
 
 class MemoCache:
-    """Formula-structure keyed cache of compiled automata.
+    """Shape-keyed cache of compiled automata.
 
-    Lookups never change verdicts, only timing.  Keys name tracks, not
-    variable names, so sessions with different registries may share one
-    cache soundly.  A cache instance is not synchronized: sharing it
-    between concurrently running sessions needs an external lock.
+    Lookups never change verdicts, only timing.  A key is a formula's
+    shape: its tracks are named by rank, not by index or variable name,
+    so conjuncts of one shape over different variables share one entry,
+    and sessions with different registries may share one cache soundly.
+    An entry keeps the tracks of the compile that built it; the compiler
+    relabels a hit with the caller's.  A cache instance is not
+    synchronized: sharing it between concurrently running sessions needs
+    an external lock.
     """
 
     def __init__(self):
@@ -229,57 +230,78 @@ def compile_formula(
     """
     f = normalize(f)
     validate_kinds(f)
-    fvs = free_vars(f)
-    env = {v.name: registry.track_of(v) for v in fvs}
-    key, body = _fold(f, env, registry, cache, determinize_budget)
+    env = {v.name: registry.track_of(v) for v in free_vars(f)}
+    key, body = _fold(f, env, cache, determinize_budget)
 
     def restrict() -> Dfa:
         result = body
-        for track in sorted(env[v.name] for v in fvs if v.kind is Kind.FIRST_ORDER):
-            result = minimize(intersect(result, restriction_automaton(track)))
+        for track in body.tracks:
+            if track.kind is Kind.FIRST_ORDER:
+                result = minimize(intersect(result, restriction_automaton(track.index)))
         return result
 
-    return _memoized(cache, "!" + key, restrict)[1]
+    return _memoized(cache, "!" + key, body.tracks, restrict)[1]
 
 
-def _memoized(cache: MemoCache | None, key: str, build) -> tuple[str, Dfa]:
-    """``key`` and its automaton, from the cache or else from ``build()``."""
+def _memoized(cache: MemoCache | None, key: str, tracks: TrackSet, build) -> tuple[str, Dfa]:
+    """``key`` and its automaton over ``tracks``, from the cache or else from ``build()``.
+
+    A hit is the automaton of a node of the same shape, whose tracks
+    have the same ranks and kinds; its cubes and states are already
+    right, so only the track labels change.
+    """
     result = cache.get(key) if cache is not None else None
     if result is None:
         result = build()
         if cache is not None:
             cache.put(key, result)
+    elif result.tracks != tracks:
+        result = replace(result, tracks=tracks)
     return key, result
 
 
-def _fold(f: Formula, env: dict[str, int], registry, cache, budget) -> tuple[str, Dfa]:
-    """Memo key and minimal automaton of a normalized formula, bottom-up;
+def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
+    """Shape key and minimal automaton of a normalized formula, bottom-up;
     every case, negation too, ends in ``minimize``'s canonical form."""
     match f:
         case In() | Less() | Succ() | EqFo() | Sub():
             a, b = operands(f)
-            return _memoized(cache, f"{type(f).__name__}(@{env[a.name]},@{env[b.name]})",
-                             lambda: minimize(compile_atom(f, env)))
+            ta, tb = env[a.name], env[b.name]
+            first, second = Track(ta, a.kind), Track(tb, b.kind)
+            # an atom's type fixes its operands' kinds, so the key names
+            # none; a track both share gets a's kind, as in compile_atom
+            tracks = (first,) if ta == tb else (first, second) if ta < tb else (second, first)
+            return _memoized(cache, f"{type(f).__name__}({int(ta > tb)},{int(tb > ta)})",
+                             tracks, lambda: minimize(compile_atom(f, env)))
         case Not(body):
-            key, inner = _fold(body, env, registry, cache, budget)
-            return _memoized(cache, f"~{key}", lambda: minimize(complement(inner)))
+            key, inner = _fold(body, env, cache, budget)
+            return _memoized(cache, f"~{key}", inner.tracks,
+                             lambda: minimize(complement(inner)))
         case And(left, right):
-            lkey, ldfa = _fold(left, env, registry, cache, budget)
-            rkey, rdfa = _fold(right, env, registry, cache, budget)
-            return _memoized(cache, f"&({lkey},{rkey})",
+            lkey, ldfa = _fold(left, env, cache, budget)
+            rkey, rdfa = _fold(right, env, cache, budget)
+            # per union rank, whether the left operand has that track, the
+            # right or both: the map from each operand's ranks to the node's
+            side = dict.fromkeys(ldfa.tracks, "l")
+            for t in rdfa.tracks:
+                side[t] = "b" if t in side else "r"
+            tracks = tuple(sorted(side, key=lambda t: t.index))  # a kind clash raises in intersect
+            sides = "".join(map(side.__getitem__, tracks))
+            return _memoized(cache, f"&{sides}({lkey},{rkey})", tracks,
                              lambda: minimize(intersect(ldfa, rdfa)))
         case Exists(var, body):
-            track = registry.scratch_track(var)
-            key, inner = _fold(body, {**env, var.name: track}, registry, cache, budget)
-            return _memoized(cache, f"ex{var.kind.value} @{track}:({key})",
+            # one past every track in scope: the bound variable ranks last
+            track = 1 + max(env.values(), default=-1)
+            key, inner = _fold(body, {**env, var.name: track}, cache, budget)
+            if not inner.tracks or inner.tracks[-1].index != track:
+                return key, inner  # variable does not occur; positions always exist
+            return _memoized(cache, f"ex{var.kind.value}({key})", inner.tracks[:-1],
                              lambda: _project_out(inner, var.kind, track, budget))
     raise TypeError(f"normalized formulas cannot contain {type(f).__name__}")
 
 
 def _project_out(body: Dfa, kind: Kind, track: int, budget: int) -> Dfa:
     """Existential quantification of the variable on ``track``."""
-    if not any(t.index == track for t in body.tracks):
-        return body  # variable does not occur; positions always exist
     if kind is Kind.FIRST_ORDER:
         body = minimize(intersect(body, restriction_automaton(track)))
     return minimize(determinize(project(body, track), budget))

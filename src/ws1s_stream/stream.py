@@ -85,6 +85,8 @@ class StepReport:
     max_expanded_depth: int  # -1 when nothing was expanded
     expanded: int  # nodes whose successor edges this step derived
     replayed: int  # of those, the ones derived from an archived complete prefix
+    memo_hits: int  # memo cache lookups this step's compile answered from the cache
+    memo_misses: int  # and those it had to build
     verdict: StepVerdict
 
 
@@ -312,7 +314,8 @@ class StreamSession:
     A session owns its track registry, so free variables keep their
     track across conjuncts, and a compile cache shared by all its steps.
     The cache may also be shared with other sessions: its keys name
-    tracks, so an entry means the same automaton in every registry.
+    tracks by rank, not index, so an entry means the same automaton in
+    every registry.
     Sessions are single-threaded; sessions that run concurrently and
     share a cache need an external lock around it.
 
@@ -365,6 +368,7 @@ class StreamSession:
         too deep for the passes that recurse over it fails as a ``WsError``.
         """
         kept, registered = self.step, len(self.registry)
+        hits, misses = self.cache.hits, self.cache.misses
         searching = self.current_verdict().is_sat  # after unsat, nothing to search
         try:
             for f in formulas:
@@ -396,7 +400,8 @@ class StreamSession:
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = StepVerdict(self.step, partial.status, partial.witness)
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
-                            max_depth, expanded, replayed, verdict)
+                            max_depth, expanded, replayed, self.cache.hits - hits,
+                            self.cache.misses - misses, verdict)
         self.reports.append(report)
         return report
 

@@ -13,10 +13,10 @@ from formula_gen import random_formula
 from ws1s_stream.automata import dump, language_equiv, minimize, parse_dump
 from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
 from ws1s_stream.cli import main, stream_command
-from ws1s_stream.compiler import TrackRegistry, compile_formula, restriction_automaton
+from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
 from ws1s_stream.oracle import sat_bounded
 from ws1s_stream.stream import FROM_SCRATCH, INCREMENTAL
-from ws1s_stream.syntax import And, Kind, VarId, free_vars, print_formula
+from ws1s_stream.syntax import And, Kind, VarId, free_vars, parse, print_formula
 
 
 def _conjunction(formulas):
@@ -167,6 +167,17 @@ def test_stream_command_jsonl_records_expansions():
     # one expansion per sat step, replayed from the step before; the
     # contradiction searches, the step after it does not
     assert [(r["expanded"], r["replayed"]) for r in records] == [(1, 0), (1, 1), (1, 1), (4, 4), (0, 0)]
+
+
+def test_stream_command_jsonl_records_memo_counters():
+    text = "x1 = x0 + 1\nx2 = x1 + 1\nx3 = x2 + 1\n~(x2 = x1 + 1)\n"
+    code, out, _ = _run_stream(text, log_jsonl=True)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    # the atom and the top level miss per shape, then hit; line 1 registers
+    # x1 before x0, so its atom has the other track order from the rest;
+    # the negation is new, its atom is not
+    assert [(r["memo_misses"], r["memo_hits"]) for r in records] == [(2, 0), (2, 0), (0, 2), (2, 1)]
 
 
 def test_stream_command_growing_witnesses():
@@ -322,6 +333,35 @@ def test_readme_dump_format_is_what_compile_prints(capsys):
     assert match is not None
     assert main(["compile", "x in Y"]) == 0
     assert capsys.readouterr().out.split("\n", 1)[1].startswith(match[1])
+
+
+# two conjuncts of one shape; the parser takes a binder name once per formula
+_TWO_SHAPES = "(ex2 W: x1 in W & ~(x2 in W)) & (ex2 V: x3 in V & ~(x4 in V))"
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_cli_compile_memo_hits_keep_the_budget_exit(budget, monkeypatch, capsys):
+    # the second conjunct is a memo hit that skips its determinization;
+    # it would build as many subsets as the first, so the exit is the same
+    monkeypatch.setenv("WS1S_STATE_BUDGET", str(budget))
+    runs = []
+    for flags in ([], ["--no-memo"]):
+        code = main(["compile", _TWO_SHAPES, *flags])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3 if budget <= 3 else 0)
+
+
+def test_second_conjunct_of_one_shape_is_served_from_the_cache():
+    both = parse(_TWO_SHAPES)
+    registry, cache = TrackRegistry(), MemoCache()
+    for v in free_vars(both):
+        registry.register(v)
+    compile_formula(both.left, registry, cache)
+    misses = cache.misses
+    compile_formula(both, registry, cache)
+    # only the top-level & and the top-level entry are new
+    assert cache.misses == misses + 2
 
 
 def test_cli_stream_from_file(tmp_path, capsys):

@@ -141,6 +141,51 @@ def test_distinct_binder_names_compile_equivalent_automata():
                           compile_formula(g, registry, cache))
 
 
+def test_binder_names_share_one_cache_entry():
+    f = parse("ex1 z: z in Y")
+    g = parse("ex1 w: w in Y")
+    registry = _registry_for(f, g)
+    cache = MemoCache()
+    first = compile_formula(f, registry, cache)
+    misses, hits = cache.misses, cache.hits
+    # the atom, the quantifier and the top level all hit
+    assert compile_formula(g, registry, cache) == first
+    assert (cache.misses, cache.hits) == (misses, hits + 3)
+
+
+def test_shared_cache_across_shuffled_registries_matches_uncached_dumps():
+    # one cache for every registry; free variables are registered in
+    # shuffled order among unused ones, so the formula's tracks, and the
+    # bound tracks placed above them, sit at random offsets and ranks
+    rng, order = random.Random(5), random.Random(6)
+    cache = MemoCache()
+    for _ in range(500):
+        f = random_formula(rng, max_depth=4)
+        variables = free_vars(f)
+        order.shuffle(variables)
+        registry = TrackRegistry()
+        for i, v in enumerate(variables):
+            for j in range(order.randrange(3)):
+                registry.register(VarId(f"unused{i}_{j}", order.choice(list(Kind))))
+            registry.register(v)
+        assert dump(compile_formula(f, registry, cache)) == dump(compile_formula(f, registry))
+    assert cache.hits > cache.misses
+
+
+def _succ_chain_misses(n):
+    registry, cache = TrackRegistry(), MemoCache()
+    for i in range(1, n + 1):
+        f = parse(f"x{i + 1} = x{i} + 1")
+        for v in free_vars(f):
+            registry.register(v)
+        compile_formula(f, registry, cache)
+    return cache.misses
+
+
+def test_one_shape_compiles_once_however_long_the_chain():
+    assert _succ_chain_misses(20) == _succ_chain_misses(40)
+
+
 def test_deterministic_compilation_across_fresh_contexts():
     rng = random.Random(47)
     for _ in range(20):

@@ -411,7 +411,17 @@ def test_memo_counters_on_a_short_stream():
                  "ex2 Y: x in Y & (ex1 z: z in Y)", "all1 z: z in Y -> z in Z"):
         s.push(parse(line))
     # every subformula is looked up once per push, after its children
-    assert (s.cache.misses, s.cache.hits) == (20, 6)
+    assert (s.cache.misses, s.cache.hits) == (16, 10)
+
+
+def test_step_reports_carry_the_steps_memo_counters():
+    s = StreamSession()
+    reports = [s.push(parse(line)) for line in (
+        "ex2 Y: x in Y & (ex1 z: z in Y)", "x in Y & ~(x in Z)",
+        "ex2 Y: x in Y & (ex1 z: z in Y)", "all1 z: z in Y -> z in Z")]
+    assert [(r.memo_misses, r.memo_hits) for r in reports] == [(6, 0), (3, 2), (0, 6), (7, 2)]
+    assert sum(r.memo_misses for r in reports) == s.cache.misses
+    assert sum(r.memo_hits for r in reports) == s.cache.hits
 
 
 def test_failed_push_unregisters_its_free_variables():
