@@ -88,7 +88,7 @@ def _session() -> StreamSession:
 
 
 def cmd_check(args) -> int:
-    """Decide one formula as a one-conjunct session: the same compile and
+    """Decide one formula as a one-push session: the same compile and
     search as ``stream``, under the same ``WS1S_STATE_BUDGET`` caps."""
     session = _session()
     report = session.push(parse(args.formula))
@@ -158,6 +158,7 @@ def stream_command(
                 "replayed": report.replayed,
                 "memo_hits": report.memo_hits,
                 "memo_misses": report.memo_misses,
+                "components": report.components,
             }
             if witness is not None:
                 record["witness"] = witness

@@ -1,7 +1,10 @@
 """Incremental satisfiability over a growing conjunction of formulas.
 
-Each pushed conjunct is compiled to its own minimal automaton; the
-conjunction's product automaton is never materialized.  Instead the
+Each pushed formula is split along its top-level ``&`` chain, and each
+part is compiled to its own minimal automaton: one product component
+per distinct top-level conjunct, since a part equal to a component
+already in the product adds nothing (L & L = L).  The conjunction's
+product automaton is never materialized.  Instead the
 session keeps every product state it has ever explored, together with
 that state's outgoing edge cubes, and decides each step by a
 shortest-first search that stops at the first state in which every
@@ -55,7 +58,7 @@ from .automata import (
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
 from .errors import StateBudgetExceeded, WsError
-from .syntax import Formula, free_vars
+from .syntax import And, Formula, free_vars
 
 DEFAULT_SESSION_BUDGET = 5_000_000
 
@@ -87,6 +90,7 @@ class StepReport:
     replayed: int  # of those, the ones derived from an archived complete prefix
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
     memo_misses: int  # and those it had to build
+    components: int  # the product's distinct components after the step
     verdict: StepVerdict
 
 
@@ -152,6 +156,7 @@ class ProductExplorer:
 
     def __init__(self):
         self.components: list[_Component] = []
+        self.dfas: set[Dfa] = set()  # the components' automata, for equality lookups
         self.union_tracks: TrackSet = ()
         # the empty product accepts the empty word: a conjunction of
         # nothing is true.  It has id 0 and is placed from the start.
@@ -174,6 +179,7 @@ class ProductExplorer:
             raise AssertionError("union tracks must grow append-only")
         comp = _Component(dfa, union, len(union) - len(self.union_tracks))
         self.components.append(comp)
+        self.dfas.add(dfa)
         self.union_tracks = union
         self.roots.append(self._intern(self.roots[-1], dfa.initial, comp))
 
@@ -193,6 +199,7 @@ class ProductExplorer:
                 del self.nodes[node.t]
         del self.by_id[mark:]
         del self.roots[keep + 1:]
+        self.dfas.difference_update(comp.dfa for comp in self.components[keep:])
         del self.components[keep:]
         self.union_tracks = self.union_tracks[: sum(c.shift for c in self.components)]
 
@@ -334,21 +341,19 @@ class StreamSession:
         self.cache = cache if cache is not None else MemoCache()
         self.explorer = ProductExplorer()
         self.reports: list[StepReport] = []
+        self.step = 0  # formulas conjoined so far
         self.state_budget = budget or DEFAULT_SESSION_BUDGET
         self.determinize_budget = budget or DEFAULT_DETERMINIZE_BUDGET
 
     @property
     def components(self) -> list[Dfa]:
-        """The compiled conjuncts, in push order."""
+        """The product's distinct components, one per distinct top-level
+        conjunct of the formulas pushed, in the order they were added."""
         return [comp.dfa for comp in self.explorer.components]
 
     @property
     def verdicts(self) -> list[StepVerdict]:
         return [r.verdict for r in self.reports]
-
-    @property
-    def step(self) -> int:
-        return len(self.explorer.components)
 
     def current_verdict(self) -> StepVerdict:
         if self.reports:
@@ -356,18 +361,25 @@ class StreamSession:
         return StepVerdict(0, "sat", [])  # empty conjunction
 
     def push(self, f: Formula) -> StepReport:
-        """Add one conjunct and decide satisfiability of the conjunction so far."""
+        """Conjoin one formula and decide satisfiability of the conjunction so far."""
         return self._conjoin([f], INCREMENTAL)
 
     def _conjoin(self, formulas: Sequence[Formula], mode: str) -> StepReport:
         """Compile ``formulas`` into new components, then decide the conjunction.
+
+        Each formula adds the parts of its top-level ``&`` chain that no
+        component equals yet; every part carries the first-order
+        restrictions of its own free variables, so the parts' product
+        accepts the formula's language.  Free variables are registered
+        over the whole formula first, so the union tracks grow in
+        first-occurrence order whatever the split.
 
         A registration, compile or search that raises leaves registered
         variables, components, reports and explored nodes as they were;
         only the memo cache keeps what the attempt added to it.  A formula
         too deep for the passes that recurse over it fails as a ``WsError``.
         """
-        kept, registered = self.step, len(self.registry)
+        kept, registered = len(self.explorer.components), len(self.registry)
         hits, misses = self.cache.hits, self.cache.misses
         searching = self.current_verdict().is_sat  # after unsat, nothing to search
         try:
@@ -375,14 +387,15 @@ class StreamSession:
                 for v in free_vars(f):
                     self.registry.register(v)
             t0 = time.perf_counter_ns()
-            dfas = [compile_formula(f, self.registry, self.cache,
+            dfas = [compile_formula(part, self.registry, self.cache,
                                     determinize_budget=self.determinize_budget)
-                    for f in formulas]
+                    for f in formulas for part in _conjuncts(f)]
             compile_ns = time.perf_counter_ns() - t0
 
             t1 = time.perf_counter_ns()
             for dfa in dfas:
-                self.explorer.add_component(dfa)
+                if dfa not in self.explorer.dfas:
+                    self.explorer.add_component(dfa)
             if searching:
                 partial, explored, max_depth = self.explorer.search(self.state_budget)
                 expanded, replayed = self.explorer.expanded, self.explorer.replayed
@@ -397,11 +410,13 @@ class StreamSession:
             raise
         process_ns = time.perf_counter_ns() - t1 if searching else 0
 
+        self.step += len(formulas)
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = StepVerdict(self.step, partial.status, partial.witness)
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
                             max_depth, expanded, replayed, self.cache.hits - hits,
-                            self.cache.misses - misses, verdict)
+                            self.cache.misses - misses, len(self.explorer.components),
+                            verdict)
         self.reports.append(report)
         return report
 
@@ -411,6 +426,19 @@ class StreamSession:
             return None
         names = [self.registry.name_of(t.index) for t in self.explorer.union_tracks]
         return [dict(zip(names, symbol)) for symbol in verdict.witness]
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The parts of ``f``'s top-level ``&`` chain, in text order; a loop,
+    so a chain of any length splits within the interpreter stack."""
+    parts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
 
 
 def from_scratch_check(

@@ -307,7 +307,9 @@ class _Parser:
         kw = self.take("kw")
         name_tok = self.take("ident")
         name = name_tok.text
-        if name in self.scope or name in self.free_seen or name in self.binder_names:
+        # a name bound in a sibling scope may be bound again; one in scope
+        # or already used free may not
+        if name in self.scope or name in self.free_seen:
             raise ParseError(name_tok.line, name_tok.col,
                              "a fresh variable name (shadowing is not allowed)", name)
         kind = Kind.FIRST_ORDER if kw.text.endswith("1") else Kind.SECOND_ORDER

@@ -180,6 +180,15 @@ def test_stream_command_jsonl_records_memo_counters():
     assert [(r["memo_misses"], r["memo_hits"]) for r in records] == [(2, 0), (2, 0), (0, 2), (2, 1)]
 
 
+def test_stream_command_jsonl_records_components():
+    text = "x in Y & x in Z\nx in Y\n(ex1 z: z < x) & (ex1 z: z < x) & x in Z\n"
+    code, out, _ = _run_stream(text, log_jsonl=True)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    # a line adds the parts of its & chain that the product does not hold yet
+    assert [(r["step"], r["components"]) for r in records] == [(1, 2), (2, 2), (3, 3)]
+
+
 def test_stream_command_growing_witnesses():
     text = "".join(print_formula(f) + "\n" for f in family1(3))
     code, out, _ = _run_stream(text)
@@ -335,7 +344,7 @@ def test_readme_dump_format_is_what_compile_prints(capsys):
     assert capsys.readouterr().out.split("\n", 1)[1].startswith(match[1])
 
 
-# two conjuncts of one shape; the parser takes a binder name once per formula
+# two conjuncts of one shape, with a binder name for each
 _TWO_SHAPES = "(ex2 W: x1 in W & ~(x2 in W)) & (ex2 V: x3 in V & ~(x4 in V))"
 
 
@@ -378,6 +387,25 @@ def test_cli_bench(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "mode=Incremental" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, renamed", [
+    ("(ex1 z: z < x) & (ex1 z: z in Y)", "(ex1 z: z < x) & (ex1 w: w in Y)"),
+    ("(ex1 z: z < x) & (all1 z: ~(z < x))", "(ex1 z: z < x) & (all1 w: ~(w < x))"),
+], ids=["sat", "unsat"])
+def test_binder_name_reused_in_a_sibling_scope(text, renamed, capsys):
+    # two sibling scopes may bind one name: check decides the line, compile
+    # dumps it as with the second binder renamed, and the oracle agrees
+    assert main(["check", text]) == 0
+    checked = capsys.readouterr().out
+    assert main(["compile", text]) == 0
+    dumped = capsys.readouterr().out
+    assert main(["compile", renamed]) == 0
+    assert capsys.readouterr().out == dumped
+    assert main(["oracle", "check", text, "--k", "4"]) == 0
+    oracle = capsys.readouterr().out
+    assert checked.split()[0] == ("sat" if oracle.startswith("sat ") else "unsat")
+    assert (sat_bounded(parse(text), 4) is None) == (checked == "unsat\n")
 
 
 def test_cli_oracle_check(capsys):

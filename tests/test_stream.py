@@ -159,9 +159,10 @@ def test_lazy_verdict_matches_materialized_product():
         s = StreamSession()
         materialized = None
         for f in formulas:
+            k = len(s.components)
             report = s.push(f)
-            dfa = s.components[-1]
-            materialized = dfa if materialized is None else intersect(materialized, dfa)
+            for dfa in s.components[k:]:  # a push adds its new parts: several, or none
+                materialized = dfa if materialized is None else intersect(materialized, dfa)
             direct = find_witness(cylindrify(materialized, s.explorer.union_tracks))
             if report.verdict.status == "sat":
                 assert report.verdict.witness == direct
@@ -609,3 +610,100 @@ def test_archived_edges_are_not_gc_tracked():
     entries = [e for node in s.explorer.nodes.values() if node.complete for e in node.out]
     assert len(entries) == 348
     assert not any(gc.is_tracked(e) for e in entries)
+
+
+def _and_stream(rng, length):
+    """Conjuncts over a shared vocabulary: some pushed as ``&`` lines, some
+    repeating an earlier line exactly, some with an earlier line in a chain."""
+    out = []
+    for _ in range(length):
+        roll = rng.random()
+        if out and roll < 0.3:
+            out.append(rng.choice(out))
+        elif roll < 0.75:
+            parts = [random_formula(rng, rng.choice((1, 2))) for _ in range(rng.choice((2, 3)))]
+            if out and rng.random() < 0.5:
+                parts.insert(rng.randrange(len(parts) + 1), rng.choice(out))
+            out.append(_conjunction(parts))
+        else:
+            out.append(random_formula(rng, rng.choice((1, 2, 3))))
+    return out
+
+
+def test_split_and_dedupe_keep_the_witness_of_the_whole_conjunction():
+    # each step's witness is the shortest lex-least word of the whole
+    # prefix compiled as one formula, however many parts each push added
+    rng = random.Random(103)
+    added = set()
+    for _ in range(30):
+        formulas = _and_stream(rng, 5)
+        s = StreamSession()
+        for n, f in enumerate(formulas, start=1):
+            k = len(s.components)
+            report = s.push(f)
+            added.add(min(len(s.components) - k, 2))
+            whole = compile_formula(_conjunction(formulas[:n]), s.registry)
+            assert report.verdict.witness == find_witness(cylindrify(whole, s.explorer.union_tracks))
+            assert report.step == report.verdict.step == n
+        _, scratch = from_scratch_check(formulas)
+        assert [r.verdict for r in scratch] == s.verdicts
+    assert added == {0, 1, 2}  # pushes that added nothing, one part and several
+
+
+def test_repeated_line_adds_no_component_and_no_search_work():
+    s = StreamSession()
+    first = s.push(parse("x in Y & y < x"))
+    again = s.push(parse("x in Y & y < x"))
+    assert (first.components, again.components, len(s.components)) == (2, 2, 2)
+    assert (again.states_explored_step, again.expanded) == (0, 0)
+    assert again.verdict.witness == first.verdict.witness
+    assert s.step == again.step == 2
+    # a repeated part inside a new chain adds only the new part
+    third = s.push(parse("y < x & x in Z"))
+    assert (third.step, third.components) == (3, 3)
+
+
+def test_step_reports_count_the_products_distinct_components():
+    s = StreamSession()
+    assert [s.push(parse(line)).components for line in ("x in Y & x in Z", "x in Y")] == [2, 2]
+
+
+def _rollback_state(s):
+    return _session_state(s), set(s.explorer.dfas), len(s.registry)
+
+
+def test_push_whose_second_part_exceeds_a_budget_leaves_the_session_as_it_was():
+    line = parse("y in Y & (ex2 W: x in W)")
+    s = StreamSession()
+    s.push(parse("x in Y"))
+    s.determinize_budget = 1  # the second part's determinization exceeds it
+    before = _rollback_state(s)
+    with pytest.raises(StateBudgetExceeded, match="during determinization"):
+        s.push(line)
+    assert _rollback_state(s) == before
+    s.determinize_budget = StreamSession().determinize_budget
+    fresh = StreamSession()
+    fresh.push(parse("x in Y"))
+    later, expected = s.push(line), fresh.push(line)
+    assert later.verdict == expected.verdict and later.verdict.is_sat
+    assert (later.components, later.states_explored_step) == (3, expected.states_explored_step)
+
+    # parts added before a search that exceeds its budget are dropped again
+    s = StreamSession(budget=20)
+    s.push(parse("x1 in Y1 & x2 in Y2 & x3 in Y3"))
+    before = _rollback_state(s)
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        s.push(parse("x4 in Y4 & x5 in Y5 & x1 in Y1"))
+    assert _rollback_state(s) == before
+    later = s.push(parse("x2 in Y2 & x1 in Y1"))  # both parts still found in the product
+    assert (later.step, later.components, later.verdict.witness) == (2, 3, [(1,) * 6])
+
+
+def test_from_scratch_reports_one_step_per_formula_on_and_lines():
+    formulas = [parse(t) for t in ("x in Y & y < x", "x in Y & y < x", "y in Z & x in Y",
+                                   "z = y + 1")]
+    _, reports = from_scratch_check(formulas)
+    assert [(r.step, r.verdict.step, r.components) for r in reports] == [
+        (1, 1, 2), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
+    s = StreamSession()
+    assert [s.push(f).verdict for f in formulas] == [r.verdict for r in reports]

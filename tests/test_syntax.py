@@ -105,6 +105,17 @@ def test_shadowing_rejected():
         parse("x in Y & (ex1 x: x < y)")
 
 
+def test_binder_name_reused_in_a_sibling_scope_parses():
+    z, z2 = VarId("z", Kind.FIRST_ORDER), VarId("z", Kind.SECOND_ORDER)
+    assert parse("(ex1 z: z < x) & (ex1 z: z in Y)") == And(
+        Exists(z, Less(z, x)), Exists(z, In(z, Y)))
+    assert parse("(ex1 z: z < x) & (ex2 z: x in z)") == And(
+        Exists(z, Less(z, x)), Exists(z2, In(x, z2)))
+    # a name bound in one scope still cannot be used free in another
+    with pytest.raises(ParseError, match="bound elsewhere"):
+        parse("(ex1 z: z < x) & z in Y")
+
+
 def test_free_variables_forbidden_mode():
     with pytest.raises(UnboundVariableError):
         parse("x in Y", allow_free=False)
