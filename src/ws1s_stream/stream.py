@@ -10,11 +10,11 @@ that state's outgoing edge cubes, and decides each step by a
 shortest-first search that stops at the first state in which every
 component accepts.
 
-Product tuples are append-only: a component once pushed keeps its slot,
+Product states are append-only: a component once pushed keeps its slot,
 and a state explored at an earlier step is extended rather than
 rebuilt.  Extension is demand-driven: when the search needs the
-successors of a tuple, it replays the edge cubes stored for the longest
-previously-explored prefix of that tuple through the automata added
+successors of a state, it replays the edge cubes stored for its longest
+previously-explored prefix through the automata added
 since, splitting a cube only where a newer component distinguishes its
 expansions and dropping successors whose new coordinate can no longer
 reach acceptance.  States the search never touches keep their archived
@@ -22,20 +22,20 @@ form at the old arity and cost nothing, which is what keeps the
 per-step price tied to the witness search rather than to the size of
 everything seen so far.
 
-The work per node and per edge does not grow with the number of
-components.  A product state is an int id, interned on its prefix's id
-and its last component state, so the longest explored prefix is found
-along prefix links and acceptance is the prefix's acceptance and the
-last component's.  Edge cubes are ``(care, value)`` int masks (see
-``automata``), so widening is a shift, meeting is a few bit operations,
-and least-symbol order is the order of ``value``.  Each placed state's
-full tuple is built once, for the tuple-keyed view ``nodes``.
+The work and memory per node and per edge do not grow with the number
+of components.  A product state is an int id, interned on its prefix
+and its last component state, and holds no tuple: the longest explored
+prefix, and the component states after it, are read along prefix links,
+and acceptance is the prefix's acceptance and the last component's.
+Edge cubes are ``(care, value)`` int masks (see ``automata``), so
+widening is a shift, meeting is a few bit operations, and least-symbol
+order is the order of ``value``.
 
 Verdicts are monotone (a conjunction can only lose models), so after
 the first unsat step the session short-circuits exploration and keeps
 answering unsat while still appending components and recording compile
-times.  The from-scratch baseline runs the same compile-and-search path
-on a fresh session per prefix.
+times; a push that adds no component keeps the verdict before it.  The
+from-scratch baseline runs the same path on a fresh session per prefix.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class StepReport:
     process_ns: int
     states_explored_step: int
     states_explored_total: int
-    max_expanded_depth: int  # -1 when nothing was expanded
+    max_expanded_depth: int  # deepest layer the search walked, archived edges included; -1 if none
     expanded: int  # nodes whose successor edges this step derived
     replayed: int  # of those, the ones derived from an archived complete prefix
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
@@ -97,35 +97,40 @@ class StepReport:
 class _Node:
     """One product state, named by an int id: its index in ``ProductExplorer.by_id``.
 
-    A state is interned as ``(prefix, state)``: the id of the state one
-    arity lower and the component state appended to it, the first time an
-    edge or a root reaches it.  It is placed when a search
-    discovers it: then ``t`` is its full tuple (its key in
-    ``ProductExplorer.nodes``), ``parent`` its predecessor on its
-    shortest lex-least path and ``value`` the least symbol of that last
-    edge, as a mask.  States interned on the way through several new
-    components at once are never placed.  ``out`` is only meaningful when
-    ``complete`` is set; it then lists every live successor edge at this
+    A state is interned on ``prefix``, the state one arity lower (None for
+    the empty product), and ``state``, the component state appended to it,
+    the first time an edge or a root reaches it.  As for a tuple,
+    ``len(node)`` is its arity and ``node[:j]`` its prefix at arity j.  A
+    search places it when it discovers it: ``depth`` (-1 until then) is its
+    layer, ``parent`` its predecessor on its shortest lex-least path and
+    ``value`` the least symbol of that last edge, as a mask.  States interned
+    on the way through several new components at once are never placed.
+    Once ``complete``, ``out`` lists every live successor edge at this
     state's arity as all-int ``(care, value, target id)`` triples, mask
     cubes over the union tracks of that arity, least symbol first.
-    It is None until then.
     """
 
-    __slots__ = ("prefix", "state", "accepting", "t", "depth", "parent", "value", "out")
+    __slots__ = ("prefix", "state", "accepting", "depth", "parent", "value", "out")
 
-    def __init__(self, prefix: int, state: int, accepting: bool):
-        self.prefix = prefix
-        self.state = state
-        self.accepting = accepting
-        self.t: tuple | None = None
-        self.depth = 0
-        self.parent: _Node | None = None
-        self.value = 0
-        self.out: tuple | None = None
+    def __init__(self, prefix: _Node | None, state: int, accepting: bool):
+        self.prefix, self.state, self.accepting = prefix, state, accepting
+        self.depth, self.parent, self.value, self.out = -1, None, 0, None
 
     @property
     def complete(self) -> bool:
         return self.out is not None
+
+    def __len__(self) -> int:
+        arity, node = 0, self.prefix
+        while node is not None:
+            arity, node = arity + 1, node.prefix
+        return arity
+
+    def __getitem__(self, part: slice) -> _Node:
+        node = self
+        for _ in range(len(self) - part.stop):
+            node = node.prefix
+        return node
 
 
 class _Component:
@@ -142,13 +147,26 @@ class _Component:
                           for edges in mask_rows(dfa, union))
 
 
-def _key(prefix: int, state: int) -> int:
-    # one int per (prefix id, state) pair: cheaper to keep and hash than a
-    # tuple; no automaton has 2^32 states
-    return prefix << 32 | state
-
-
 _edge_order = itemgetter(1)  # a mask's value is its least symbol; disjoint cubes never tie
+
+
+class _Placed:
+    """The explorer's placed states as a read-only mapping from each to itself."""
+
+    def __init__(self, explorer: ProductExplorer):
+        self.explorer = explorer
+
+    def __len__(self) -> int:
+        return self.explorer.placed
+
+    def values(self) -> list[_Node]:
+        return [node for node in self.explorer.by_id if node.depth >= 0]
+
+    def items(self) -> list[tuple[_Node, _Node]]:
+        return [(node, node) for node in self.values()]
+
+    def get(self, node: _Node) -> _Node | None:
+        return node if node.depth >= 0 else None
 
 
 class ProductExplorer:
@@ -160,15 +178,19 @@ class ProductExplorer:
         self.union_tracks: TrackSet = ()
         # the empty product accepts the empty word: a conjunction of
         # nothing is true.  It has id 0 and is placed from the start.
-        empty = _Node(-1, -1, accepting=True)
-        empty.t = ()
+        empty = _Node(None, -1, accepting=True)
+        empty.depth = 0
         self.by_id: list[_Node] = [empty]
-        self.ids: dict[int, int] = {}  # _key(prefix, state) -> id
+        self.ids: dict[int, int] = {}  # prefix id << 32 | state -> id, in id order
         self.roots: list[int] = [0]  # initial state id after the first i components
-        self.nodes: dict[tuple, _Node] = {(): empty}  # the placed states by tuple
+        self.placed = 1  # states placed so far, the empty product included
         # _edges_for calls in the last search, and those that replayed an
         # archived prefix
         self.expanded = self.replayed = 0
+
+    @property
+    def nodes(self) -> _Placed:
+        return _Placed(self)  # made per read, so the explorer is in no reference cycle
 
     def add_component(self, dfa: Dfa) -> None:
         union = merge_tracks(self.union_tracks, dfa.tracks)
@@ -193,11 +215,10 @@ class ProductExplorer:
         if keep == len(self.components):
             return
         mark = self.roots[keep + 1]
-        for node in self.by_id[mark:]:
-            del self.ids[_key(node.prefix, node.state)]
-            if node.t is not None:
-                del self.nodes[node.t]
+        self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
+        while len(self.ids) >= mark:  # one key per id from 1 on, in id order
+            self.ids.popitem()
         del self.roots[keep + 1:]
         self.dfas.difference_update(comp.dfa for comp in self.components[keep:])
         del self.components[keep:]
@@ -206,45 +227,36 @@ class ProductExplorer:
     # -- states and successor derivation ---------------------------------
 
     def _intern(self, prefix: int, state: int, comp: _Component) -> int:
-        key = _key(prefix, state)
+        key = prefix << 32 | state  # an int is cheaper than a tuple; no automaton has 2^32 states
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.by_id)
-            accepting = self.by_id[prefix].accepting and state in comp.dfa.accepting
-            self.by_id.append(_Node(prefix, state, accepting))
+            node = self.by_id[prefix]
+            self.by_id.append(_Node(node, state, node.accepting and state in comp.dfa.accepting))
         return i
 
-    def _tuple(self, node: _Node) -> tuple:
-        """A node's full tuple: its nearest placed prefix's plus the states after it."""
-        suffix = []
-        while node.t is None:
-            suffix.append(node.state)
-            node = self.by_id[node.prefix]
-        return node.t + tuple(reversed(suffix))
+    def _edges_for(self, node: _Node) -> tuple[tuple[int, int, int], ...]:
+        """Live successor edges of a placed state at the current arity.
 
-    def _edges_for(self, t: tuple) -> tuple[tuple[int, int, int], ...]:
-        """Live successor edges of the placed state ``t`` at its own arity.
-
-        Reuses the archived edge list of the longest fully-explored
-        prefix of ``t``, found along prefix links, splitting those cubes
-        through the components added since; only if no prefix was ever
-        fully explored is the whole product enumerated fresh.
+        Walks prefix links back to the longest fully-explored prefix,
+        taking each component's state on the way, and splits that
+        prefix's archived edge cubes through the components after it; only
+        if no prefix was ever fully explored is the product enumerated fresh.
         """
-        start = 0
         edges: Sequence[tuple[int, int, int]] = ((0, 0, 0),)  # the empty product's one edge
-        ancestor = self.nodes[t]
-        for j in range(len(t) - 1, 0, -1):
-            ancestor = self.by_id[ancestor.prefix]
-            if ancestor.out is not None:
-                start, edges = j, ancestor.out
+        path = []  # (component, its state) after the archived prefix, last first
+        for comp in reversed(self.components):
+            path.append((comp, node.state))
+            node = node.prefix
+            if node.out is not None:
+                edges = node.out
                 self.replayed += 1
                 break
         self.expanded += 1
         intern = self._intern
-        for i in range(start, len(t)):
-            comp = self.components[i]
+        for comp, state in reversed(path):
             edges = [(care, value, intern(target, dst, comp)) for care, value, target, dst
-                     in cube_product(edges, comp.rows[t[i]], comp.shift)]
+                     in cube_product(edges, comp.rows[state], comp.shift)]
         return tuple(sorted(edges, key=_edge_order))
 
     # -- search ------------------------------------------------------------
@@ -252,55 +264,51 @@ class ProductExplorer:
     def search(self, state_budget: int) -> tuple[StepVerdict, int, int]:
         """Shortest-first search at the current arity.
 
-        Returns (partial verdict, states created, deepest level whose
-        successors were derived).  The verdict's step index is filled in
-        by the caller.  A layer's nodes are expanded in discovery order,
-        each along its edges least symbol first, and a target's first
-        discovery places it; paths into one layer have equal length, so
-        that is lexicographic path order, and the first accepting node
-        ends the shortest lex-least witness, read back along parent
-        links.  Whole layers are materialized, so counts are reproducible.
-        Every step of it works on ids and prefix links; a tuple is built
-        once per placed node, for ``nodes``.
+        Returns (partial verdict, states created, deepest layer whose edges
+        were walked, archived edges included; -1 if none).  The verdict's
+        step index is filled in by the caller.  A layer's nodes are
+        expanded in discovery order, each along its edges least symbol
+        first, and a target's first discovery places it; paths into one
+        layer have equal length, so that is lexicographic path order, and
+        the first accepting node ends the shortest lex-least witness, read
+        back along parent links.  Whole layers are materialized, so counts
+        are reproducible.  Every step of it works on ids and prefix links;
+        placing a state sets its depth and counts it against ``state_budget``.
         """
-        by_id, nodes = self.by_id, self.nodes
-        created = 0
-        max_expanded = -1
-        extended_free: set[int] = set()  # prefix ids a free extension has used
+        by_id = self.by_id
+        created, max_expanded = 0, -1
+        extended_free: set[_Node] = set()  # placed prefixes a free extension has used
         self.expanded = self.replayed = 0
 
-        root = self.roots[-1]
-        root_node = by_id[root]
-        if root_node.t is None:  # the initial state is free
-            root_node.t = self._tuple(root_node)
-            nodes[root_node.t] = root_node
-            extended_free.add(root_node.prefix)
-        found = root_node if root_node.accepting else None
-        seen = {root}  # placed by this search, not by an earlier one
+        root = by_id[self.roots[-1]]
+        if root.depth < 0:  # the initial state is free
+            root.depth = 0
+            self.placed += 1
+            extended_free.add(root.prefix)
+        found = root if root.accepting else None
+        seen = {self.roots[-1]}  # placed by this search, not by an earlier one
         layer = [root]
         while found is None and layer:
             discovered = []  # the next layer, in discovery order
-            for i in layer:
-                node = by_id[i]
+            for node in layer:
                 if node.out is None:
-                    node.out = self._edges_for(node.t)
+                    node.out = self._edges_for(node)
                 max_expanded = max(max_expanded, node.depth)
                 for _, value, target in node.out:
                     if target in seen:
                         continue
                     seen.add(target)
-                    discovered.append(target)
                     child = by_id[target]
-                    if child.t is None:
+                    discovered.append(child)
+                    if child.depth < 0:
                         prefix = child.prefix
-                        if by_id[prefix].t is not None and prefix not in extended_free:
+                        if prefix.depth >= 0 and prefix not in extended_free:
                             extended_free.add(prefix)  # extending a known state is free
                         else:
                             created += 1
-                        if len(nodes) >= state_budget:
+                        if self.placed >= state_budget:
                             raise StateBudgetExceeded(state_budget, "product exploration")
-                        child.t = self._tuple(child)
-                        nodes[child.t] = child
+                        self.placed += 1
                         child.depth, child.parent, child.value = node.depth + 1, node, value
                     if found is None and child.accepting:
                         found = child
@@ -381,7 +389,7 @@ class StreamSession:
         """
         kept, registered = len(self.explorer.components), len(self.registry)
         hits, misses = self.cache.hits, self.cache.misses
-        searching = self.current_verdict().is_sat  # after unsat, nothing to search
+        previous = self.current_verdict()
         try:
             for f in formulas:
                 for v in free_vars(f):
@@ -396,11 +404,13 @@ class StreamSession:
             for dfa in dfas:
                 if dfa not in self.explorer.dfas:
                     self.explorer.add_component(dfa)
+            # after unsat, or with no new component, the verdict stands
+            searching = previous.is_sat and len(self.explorer.components) > kept
             if searching:
                 partial, explored, max_depth = self.explorer.search(self.state_budget)
                 expanded, replayed = self.explorer.expanded, self.explorer.replayed
             else:
-                partial, explored, max_depth = StepVerdict(0, "unsat", None), 0, -1
+                partial, explored, max_depth = previous, 0, -1
                 expanded = replayed = 0
         except BaseException as exc:
             self.explorer.drop_components(kept)

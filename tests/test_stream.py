@@ -1,6 +1,8 @@
 import gc
 import itertools
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -9,8 +11,10 @@ from ws1s_stream.automata import accepts, cylindrify, find_witness, intersect
 from ws1s_stream.bench import BenchConfig, family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula
 from ws1s_stream.errors import KindConflict, StateBudgetExceeded, WsError
+from ws1s_stream import stream
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
+    ProductExplorer,
     StreamSession,
     from_scratch_check,
     session_stats,
@@ -707,3 +711,85 @@ def test_from_scratch_reports_one_step_per_formula_on_and_lines():
         (1, 1, 2), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
     s = StreamSession()
     assert [s.push(f).verdict for f in formulas] == [r.verdict for r in reports]
+
+
+def test_repeated_line_runs_no_search_and_keeps_the_witness(monkeypatch):
+    # a push that adds no component leaves the product as it was, so the
+    # previous witness is the answer; a search would walk the root's 64
+    # archived edges again (16,384 after family1(14))
+    formulas = family1(6)
+    s = StreamSession()
+    for f in formulas:
+        last = s.push(f)
+
+    def no_search(self, state_budget):
+        raise AssertionError("a push that adds no component searched")
+
+    monkeypatch.setattr(ProductExplorer, "search", no_search)
+    for line in (formulas[0], _conjunction(formulas[2:4])):
+        again = s.push(line)
+        assert repr(again.verdict.witness) == repr(last.verdict.witness)
+        assert again.verdict.is_sat and again.components == last.components
+        assert (again.states_explored_step, again.expanded, again.replayed,
+                again.max_expanded_depth, again.process_ns) == (0, 0, 0, -1, 0)
+        assert again.states_explored_total == last.states_explored_total
+    monkeypatch.undo()
+    fresh = StreamSession()
+    for f in formulas + [parse("x1 < x2")]:
+        expected = fresh.push(f)
+    later = s.push(parse("x1 < x2"))  # a new component: searched again
+    assert later.verdict.witness == expected.verdict.witness and later.expanded > 0
+
+
+def test_nodes_view_answers_the_reads_the_benchmark_tracer_makes(monkeypatch):
+    # perfbench/tracing.py receives each expanded node as ``t`` and calls
+    # a node replayed when some ``explorer.nodes.get(t[:j])`` is complete,
+    # for j from len(t) - 1 down to 1; that count must be the session's
+    replayed = []
+    edges_for = ProductExplorer._edges_for
+
+    def classify(explorer, t):
+        replayed.append(any(explorer.nodes.get(t[:j]) is not None
+                            and explorer.nodes.get(t[:j]).complete
+                            for j in range(len(t) - 1, 0, -1)))
+        return edges_for(explorer, t)
+
+    monkeypatch.setattr(ProductExplorer, "_edges_for", classify)
+    s = StreamSession()
+    reports = [s.push(f) for f in _succ_chain(4) + family1(3)]
+    assert reports[-1].verdict.is_sat
+    assert sum(replayed) == sum(r.replayed for r in reports) > 0
+    assert len(replayed) == sum(r.expanded for r in reports)
+    nodes = s.explorer.nodes
+    assert len(nodes) == len(nodes.values()) == len(nodes.items())
+    assert {len(t) for t, _ in nodes.items()} == set(range(len(s.components) + 1))
+    assert all(t is node and nodes.get(node) is node for t, node in nodes.items())
+
+    # the view holds the explorer, not the other way round: a session let
+    # go frees its explorer at once, without waiting for the cycle collector
+    explorer = weakref.ref(s.explorer)
+    del s, nodes
+    assert explorer() is None
+
+
+def _bytes_per_placed_node(n):
+    formulas = _succ_chain(n)
+    gc.collect()  # a full collection empties the free lists, so every tuple is a traced allocation
+    tracemalloc.start()
+    try:
+        s = StreamSession()
+        for f in formulas:
+            s.push(f)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    traces = snapshot.filter_traces([tracemalloc.Filter(True, stream.__file__)])
+    return sum(trace.size for trace in traces.traces) / len(s.explorer.nodes)
+
+
+def test_bytes_per_placed_node_do_not_grow_with_arity():
+    # a placed node keeps its prefix link and last state, nothing per
+    # component: with a full tuple per node, the n=128 chain's nodes took
+    # 1.8x the bytes of the n=32 chain's
+    small, large = _bytes_per_placed_node(32), _bytes_per_placed_node(128)
+    assert abs(large - small) <= 0.15 * small
