@@ -100,10 +100,11 @@ def mask_cube(care: int, value: int, width: int) -> str:
     return "".join(b if r == "1" else "X" for b, r in zip(bits, read))
 
 
-def mask_rows(a: Dfa, union: TrackSet) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Each state's edges as ``(care, value, dst)`` mask cubes over ``union``."""
-    width = len(union)
-    bits = [1 << (width - 1 - col) for col in track_columns(a.tracks, union)]
+def mask_rows(a: Dfa, columns: Iterable[int], width: int
+              ) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Each state's edges as ``(care, value, dst)`` mask cubes over ``width``
+    columns; ``columns`` gives the column of each of ``a``'s tracks, in order."""
+    bits = [1 << (width - 1 - col) for col in columns]
     rows = []
     for edges in a.delta:
         row = []
@@ -224,7 +225,7 @@ class Dfa:
                 if not 0 <= dst < self.num_states:
                     raise ValueError(f"dangling transition {state} -> {dst}")
         full = 1 << self.width
-        for state, row in enumerate(mask_rows(self, self.tracks)):
+        for state, row in enumerate(mask_rows(self, range(self.width), self.width)):
             for i, edge in enumerate(row):
                 if next(cube_product((edge,), row[i + 1:]), None) is not None:
                     raise ValueError(f"overlapping cubes at state {state}")
@@ -341,7 +342,7 @@ def cylindrify(a: Dfa, extra: TrackSet) -> Dfa:
         return a
     width = len(tracks)
     delta = tuple(tuple((mask_cube(care, value, width), dst) for care, value, dst in row)
-                  for row in mask_rows(a, tracks))
+                  for row in mask_rows(a, track_columns(a.tracks, tracks), width))
     return Dfa(tracks, a.num_states, a.initial, a.accepting, delta)
 
 
@@ -349,7 +350,8 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton over the union track set, trimmed to reachable states."""
     tracks = merge_tracks(a.tracks, b.tracks)
     width = len(tracks)
-    a_rows, b_rows = mask_rows(a, tracks), mask_rows(b, tracks)
+    a_rows = mask_rows(a, track_columns(a.tracks, tracks), width)
+    b_rows = mask_rows(b, track_columns(b.tracks, tracks), width)
 
     def successors(pair: tuple[int, int]) -> list[tuple[str, tuple]]:
         # masks inside, strings at the boundary: Dfa cubes stay strings

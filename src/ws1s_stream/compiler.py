@@ -18,7 +18,9 @@ language and the order of the tracks, not on their indices; so one key
 means one automaton up to its track labels, in any registry, and a hit
 is returned with the caller's tracks.  Keys are built bottom-up from
 the children's keys, an ``And`` adding which union ranks each operand
-has.
+has.  A key names each child by a short name the cache gives that
+child's key, so a chain of n nodes keeps O(n) key characters, not
+O(n^2).  Without a cache no key is built.
 """
 
 from __future__ import annotations
@@ -124,8 +126,16 @@ class MemoCache:
 
     def __init__(self):
         self._table: dict[str, Dfa] = {}
+        self._names: dict[str, str] = {}  # key -> the short name parents' keys use
         self.hits = 0
         self.misses = 0
+
+    def name(self, key: str) -> str:
+        """A short name for ``key``, the same for equal keys in this cache."""
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"#{len(self._names)}"
+        return name
 
     def get(self, key: str) -> Dfa | None:
         hit = self._table.get(key)
@@ -244,20 +254,22 @@ def compile_formula(
 
 
 def _memoized(cache: MemoCache | None, key: str, tracks: TrackSet, build) -> tuple[str, Dfa]:
-    """``key`` and its automaton over ``tracks``, from the cache or else from ``build()``.
+    """The cache's name for ``key`` and its automaton over ``tracks``, from
+    the cache or else from ``build()``; without a cache, "" and ``build()``.
 
     A hit is the automaton of a node of the same shape, whose tracks
     have the same ranks and kinds; its cubes and states are already
     right, so only the track labels change.
     """
-    result = cache.get(key) if cache is not None else None
+    if cache is None:
+        return "", build()
+    result = cache.get(key)
     if result is None:
         result = build()
-        if cache is not None:
-            cache.put(key, result)
+        cache.put(key, result)
     elif result.tracks != tracks:
         result = replace(result, tracks=tracks)
-    return key, result
+    return cache.name(key), result
 
 
 def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:

@@ -31,6 +31,15 @@ Edge cubes are ``(care, value)`` int masks (see ``automata``), so
 widening is a shift, meeting is a few bit operations, and least-symbol
 order is the order of ``value``.
 
+Nor does a push do or keep work per union track.  The explorer keeps
+the union as an append-only list of tracks and a map from track index
+to column, so adding a component looks up only that component's tracks.
+A verdict keeps its witness as a word: the tuple of the placed states'
+``value`` masks along the witness path, ints the nodes already hold.
+``StepVerdict.witness`` decodes it into bit tuples on each read, and a
+push that adds no component shares the word before it, so a report's
+witness costs one reference per symbol, not a union-wide tuple.
+
 Verdicts are monotone (a conjunction can only lose models), so after
 the first unsat step the session short-circuits exploration and keeps
 answering unsat while still appending components and recording compile
@@ -48,16 +57,16 @@ from typing import Optional, Sequence
 from .automata import (
     DEFAULT_DETERMINIZE_BUDGET,
     Dfa,
+    Track,
     TrackSet,
     Witness,
     coreachable,
     cube_product,
     mask_min_symbol,
     mask_rows,
-    merge_tracks,
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula
-from .errors import StateBudgetExceeded, WsError
+from .errors import StateBudgetExceeded, TrackKindConflict, WsError
 from .syntax import And, Formula, free_vars
 
 DEFAULT_SESSION_BUDGET = 5_000_000
@@ -68,13 +77,27 @@ FROM_SCRATCH = "FromScratch"
 
 @dataclass(frozen=True)
 class StepVerdict:
+    """A step's answer.  ``word`` is the shortest lex-least witness over the
+    union tracks as one mask ``value`` per symbol, first symbol first, each
+    ``width`` columns wide (see ``automata``); None if unsat."""
+
     step: int
     status: str  # "sat" | "unsat"
-    witness: Optional[Witness]  # over the union tracks, shortest, lex-least
+    word: Optional[tuple[int, ...]]
+    width: int = 0
 
     @property
     def is_sat(self) -> bool:
         return self.status == "sat"
+
+    @property
+    def witness(self) -> Optional[Witness]:
+        """The word as one bit tuple per symbol, decoded into a new list on
+        every read.  Nothing is cached: a reader that keeps every report
+        would otherwise keep a union-wide tuple per symbol of every step."""
+        if self.word is None:
+            return None
+        return [mask_min_symbol(value, self.width) for value in self.word]
 
 
 @dataclass(frozen=True)
@@ -100,7 +123,8 @@ class _Node:
     A state is interned on ``prefix``, the state one arity lower (None for
     the empty product), and ``state``, the component state appended to it,
     the first time an edge or a root reaches it.  As for a tuple,
-    ``len(node)`` is its arity and ``node[:j]`` its prefix at arity j.  A
+    ``len(node)`` is its ``arity``, kept when it is interned, and
+    ``node[:j]`` its prefix at arity j, ``arity - j`` links back.  A
     search places it when it discovers it: ``depth`` (-1 until then) is its
     layer, ``parent`` its predecessor on its shortest lex-least path and
     ``value`` the least symbol of that last edge, as a mask.  States interned
@@ -110,10 +134,11 @@ class _Node:
     cubes over the union tracks of that arity, least symbol first.
     """
 
-    __slots__ = ("prefix", "state", "accepting", "depth", "parent", "value", "out")
+    __slots__ = ("prefix", "state", "arity", "accepting", "depth", "parent", "value", "out")
 
     def __init__(self, prefix: _Node | None, state: int, accepting: bool):
         self.prefix, self.state, self.accepting = prefix, state, accepting
+        self.arity = 0 if prefix is None else prefix.arity + 1
         self.depth, self.parent, self.value, self.out = -1, None, 0, None
 
     @property
@@ -121,30 +146,28 @@ class _Node:
         return self.out is not None
 
     def __len__(self) -> int:
-        arity, node = 0, self.prefix
-        while node is not None:
-            arity, node = arity + 1, node.prefix
-        return arity
+        return self.arity
 
     def __getitem__(self, part: slice) -> _Node:
         node = self
-        for _ in range(len(self) - part.stop):
+        for _ in range(self.arity - part.stop):
             node = node.prefix
         return node
 
 
 class _Component:
     """A pushed automaton, the number of columns it adds to the union, and
-    per state its edges to live states as mask cubes over the union."""
+    per state its edges to live states as mask cubes over the union, whose
+    ``width`` columns hold the automaton's tracks at ``columns``."""
 
     __slots__ = ("dfa", "shift", "rows")
 
-    def __init__(self, dfa: Dfa, union: TrackSet, shift: int):
+    def __init__(self, dfa: Dfa, columns: list[int], width: int, shift: int):
         self.dfa = dfa
         self.shift = shift
         alive = coreachable(dfa)
         self.rows = tuple(tuple(e for e in edges if e[2] in alive)
-                          for edges in mask_rows(dfa, union))
+                          for edges in mask_rows(dfa, columns, width))
 
 
 _edge_order = itemgetter(1)  # a mask's value is its least symbol; disjoint cubes never tie
@@ -175,7 +198,8 @@ class ProductExplorer:
     def __init__(self):
         self.components: list[_Component] = []
         self.dfas: set[Dfa] = set()  # the components' automata, for equality lookups
-        self.union_tracks: TrackSet = ()
+        self.tracks: list[Track] = []  # the union's tracks in column order, append-only
+        self.columns: dict[int, int] = {}  # track index -> its column in the union
         # the empty product accepts the empty word: a conjunction of
         # nothing is true.  It has id 0 and is placed from the start.
         empty = _Node(None, -1, accepting=True)
@@ -192,17 +216,32 @@ class ProductExplorer:
     def nodes(self) -> _Placed:
         return _Placed(self)  # made per read, so the explorer is in no reference cycle
 
+    @property
+    def union_tracks(self) -> TrackSet:
+        return tuple(self.tracks)
+
     def add_component(self, dfa: Dfa) -> None:
-        union = merge_tracks(self.union_tracks, dfa.tracks)
+        """Append ``dfa`` as the last component; the work follows its own
+        tracks, not the union's."""
+        tracks, columns = self.tracks, self.columns
+        new = []
+        for t in dfa.tracks:
+            col = columns.get(t.index)
+            if col is None:
+                new.append(t)
+            elif tracks[col].kind is not t.kind:
+                raise TrackKindConflict(f"track {t.index} is both first- and second-order")
         # registration order makes new tracks highest, so positions of
         # tracks already in the union never move; stored mask cubes extend
         # by a left shift
-        if union[: len(self.union_tracks)] != self.union_tracks:
+        if new and tracks and new[0].index < tracks[-1].index:
             raise AssertionError("union tracks must grow append-only")
-        comp = _Component(dfa, union, len(union) - len(self.union_tracks))
+        for t in new:
+            columns[t.index] = len(tracks)
+            tracks.append(t)
+        comp = _Component(dfa, [columns[t.index] for t in dfa.tracks], len(tracks), len(new))
         self.components.append(comp)
         self.dfas.add(dfa)
-        self.union_tracks = union
         self.roots.append(self._intern(self.roots[-1], dfa.initial, comp))
 
     def drop_components(self, keep: int) -> None:
@@ -221,8 +260,11 @@ class ProductExplorer:
             self.ids.popitem()
         del self.roots[keep + 1:]
         self.dfas.difference_update(comp.dfa for comp in self.components[keep:])
+        width = len(self.tracks) - sum(comp.shift for comp in self.components[keep:])
+        for t in self.tracks[width:]:
+            del self.columns[t.index]
+        del self.tracks[width:]
         del self.components[keep:]
-        self.union_tracks = self.union_tracks[: sum(c.shift for c in self.components)]
 
     # -- states and successor derivation ---------------------------------
 
@@ -265,8 +307,9 @@ class ProductExplorer:
         """Shortest-first search at the current arity.
 
         Returns (partial verdict, states created, deepest layer whose edges
-        were walked, archived edges included; -1 if none).  The verdict's
-        step index is filled in by the caller.  A layer's nodes are
+        were walked, archived edges included; -1 if none).  A sat verdict's
+        word is the ``value`` of each placed state on the witness path, and
+        its step index is filled in by the caller.  A layer's nodes are
         expanded in discovery order, each along its edges least symbol
         first, and a target's first discovery places it; paths into one
         layer have equal length, so that is lexicographic path order, and
@@ -315,12 +358,11 @@ class ProductExplorer:
             layer = discovered
         if found is None:
             return StepVerdict(0, "unsat", None), created, max_expanded
-        width = len(self.union_tracks)
-        witness = []
+        word = []
         while found.parent is not None:
-            witness.append(mask_min_symbol(found.value, width))
+            word.append(found.value)
             found = found.parent
-        return StepVerdict(0, "sat", witness[::-1]), created, max_expanded
+        return StepVerdict(0, "sat", tuple(word[::-1]), len(self.tracks)), created, max_expanded
 
 
 class StreamSession:
@@ -366,7 +408,7 @@ class StreamSession:
     def current_verdict(self) -> StepVerdict:
         if self.reports:
             return self.reports[-1].verdict
-        return StepVerdict(0, "sat", [])  # empty conjunction
+        return StepVerdict(0, "sat", ())  # empty conjunction
 
     def push(self, f: Formula) -> StepReport:
         """Conjoin one formula and decide satisfiability of the conjunction so far."""
@@ -422,7 +464,7 @@ class StreamSession:
 
         self.step += len(formulas)
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
-        verdict = StepVerdict(self.step, partial.status, partial.witness)
+        verdict = replace(partial, step=self.step)  # with no new component, the same word
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
                             max_depth, expanded, replayed, self.cache.hits - hits,
                             self.cache.misses - misses, len(self.explorer.components),
@@ -467,7 +509,7 @@ def from_scratch_check(
         report = StreamSession(budget=budget)._conjoin(formulas[:i], FROM_SCRATCH)
         before = reports[-1].states_explored_total if reports else 0
         reports.append(replace(report, states_explored_total=before + report.states_explored_step))
-    final = reports[-1].verdict if reports else StepVerdict(0, "sat", [])
+    final = reports[-1].verdict if reports else StepVerdict(0, "sat", ())
     return final, reports
 
 

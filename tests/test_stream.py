@@ -7,10 +7,17 @@ import weakref
 import pytest
 
 from formula_gen import random_formula
-from ws1s_stream.automata import accepts, cylindrify, find_witness, intersect
+from ws1s_stream.automata import (
+    accepts,
+    cylindrify,
+    find_witness,
+    intersect,
+    make_dfa,
+    make_tracks,
+)
 from ws1s_stream.bench import BenchConfig, family1, family2
-from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula
-from ws1s_stream.errors import KindConflict, StateBudgetExceeded, WsError
+from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
+from ws1s_stream.errors import KindConflict, StateBudgetExceeded, TrackKindConflict, WsError
 from ws1s_stream import stream
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
@@ -793,3 +800,82 @@ def test_bytes_per_placed_node_do_not_grow_with_arity():
     # 1.8x the bytes of the n=32 chain's
     small, large = _bytes_per_placed_node(32), _bytes_per_placed_node(128)
     assert abs(large - small) <= 0.15 * small
+
+
+def _session_bytes_per_placed_node(n):
+    formulas = _succ_chain(n)
+    gc.collect()  # as above: every tuple the session makes is a traced allocation
+    tracemalloc.start()
+    try:
+        s = StreamSession()
+        for f in formulas:
+            s.push(f)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / len(s.explorer.nodes)
+
+
+def test_session_bytes_per_placed_node_do_not_grow_with_the_union():
+    # every allocation is counted, not only those made in stream.py: the
+    # test above missed the reports' witnesses, a union-wide tuple per
+    # symbol built in automata.py, which made a session hold O(n^3) bytes
+    # (680, 1,123 and 1,815 per placed node at n=32, 128 and 256); a word
+    # of mask values shares the ints its placed states already hold
+    small, large = _session_bytes_per_placed_node(64), _session_bytes_per_placed_node(256)
+    assert abs(large - small) <= 0.20 * small
+
+
+def test_node_length_is_its_arity():
+    s = StreamSession()
+    for f in _succ_chain(5) + family1(2):
+        s.push(f)
+    arities = set()
+    for node in s.explorer.nodes.values():
+        links, prefix = 0, node.prefix
+        while prefix is not None:
+            links, prefix = links + 1, prefix.prefix
+        assert len(node) == node.arity == links
+        assert all(len(node[:j]) == j for j in range(links + 1))
+        arities.add(links)
+    assert arities == set(range(len(s.components) + 1))
+
+
+def test_witness_is_a_word_of_mask_values_decoded_on_each_read(monkeypatch):
+    decoded = []
+    min_symbol = stream.mask_min_symbol
+    monkeypatch.setattr(stream, "mask_min_symbol",
+                        lambda value, width: decoded.append(value) or min_symbol(value, width))
+    s = StreamSession()
+    first = s.push(parse("x in Y & y < x")).verdict
+    again = s.push(parse("y < x")).verdict
+    assert not decoded  # a search reads back mask values and decodes none
+    assert (first.word, first.width) == ((0b001, 0b110), 3)  # tracks x, Y, y
+    assert first.witness == [(0, 0, 1), (1, 1, 0)] and decoded == [0b001, 0b110]
+    assert first.witness is not first.witness  # a new list on each read, nothing kept
+    assert again.word is first.word and again.width == first.width
+    unsat = s.push(parse("~(y < x)")).verdict
+    assert (unsat.word, unsat.witness) == (None, None)
+    assert s.push(parse("x in Z")).verdict.word is None
+
+
+def test_adding_a_component_appends_only_its_new_tracks():
+    explorer = ProductExplorer()
+    for track in (0, 3):
+        explorer.add_component(restriction_automaton(track))
+    held = explorer.union_tracks
+    explorer.add_component(intersect(restriction_automaton(0), restriction_automaton(3)))
+    assert all(a is b for a, b in zip(explorer.union_tracks, held))
+    assert (explorer.union_tracks, explorer.components[-1].shift) == (held, 0)
+    second_order = make_dfa(make_tracks([(3, Kind.SECOND_ORDER)]), 1, 0, {0}, {0: [("X", 0)]})
+    with pytest.raises(TrackKindConflict):
+        explorer.add_component(second_order)
+    with pytest.raises(AssertionError, match="append-only"):
+        explorer.add_component(restriction_automaton(1))  # it would sit between 0 and 3
+    assert (len(explorer.components), explorer.union_tracks) == (3, held)
+    assert explorer.columns == {0: 0, 3: 1}
+    explorer.add_component(intersect(restriction_automaton(3), restriction_automaton(7)))
+    assert explorer.columns == {0: 0, 3: 1, 7: 2}
+    assert explorer.search(100)[0].witness == [(1, 1, 1)]
+    explorer.drop_components(1)
+    assert (explorer.union_tracks, explorer.columns) == (held[:1], {0: 0})
