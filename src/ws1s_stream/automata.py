@@ -7,9 +7,10 @@ jointly exhaustive, so every concrete symbol matches exactly one cube.
 Every operation that widens or meets cubes (``intersect``, ``cylindrify``,
 ``Dfa.audit`` and the stream's product search) works on the same cubes
 as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
-product step ``cube_product`` and printed back by ``mask_cube``.  Code
-that matches a symbol or cofactors a cube list (``Dfa.step``,
-``_region_map``, ``project``) keeps the strings.
+product step ``cube_product`` (which also names each meet's target
+pair, in the order the meets are made) and printed back by
+``mask_cube``.  Code that matches a symbol or cofactors a cube list
+(``Dfa.step``, ``_region_map``, ``project``) keeps the strings.
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -120,21 +121,31 @@ def mask_rows(a: Dfa, columns: Iterable[int], width: int
     return tuple(rows)
 
 
-def cube_product(edges: Iterable[tuple[int, int, object]], row: Sequence[tuple[int, int, object]],
-                 shift: int = 0) -> Iterator[tuple[int, int, object, object]]:
+def cube_product(edges: Iterable[tuple[int, int, int]], row: Sequence[tuple[int, int, int]],
+                 shift: int, ids: dict[int, int], new: Callable[[int, int], int]
+                 ) -> list[tuple[int, int, int]]:
     """One product step on mask cubes: every edge of ``edges`` met with every edge of ``row``.
 
     Each ``(care, value, target)`` of ``edges``, widened by ``shift``
     don't-care columns on the right, is met with each ``(care, value, dst)``
-    of ``row``; non-empty meets are yielded as ``(care, value, target, dst)``,
-    edge-major.
+    of ``row``.  A non-empty meet goes to the pair ``(target, dst)``, named
+    by ``ids[target << 32 | dst]``; a pair not in ``ids`` yet is named by
+    ``new(target, dst)``, called only then and stored.  Returns the meets as
+    ``(care, value, name)``, edge-major, which is the order pairs are named in.
     """
+    out: list[tuple[int, int, int]] = []
+    append, name_of = out.append, ids.get
     for care, value, target in edges:
         care <<= shift
         value <<= shift
+        pair = target << 32  # no automaton has 2^32 states
         for rcare, rvalue, dst in row:
             if not care & rcare & (value ^ rvalue):
-                yield care | rcare, value | rvalue, target, dst
+                name = name_of(pair | dst)
+                if name is None:
+                    name = ids[pair | dst] = new(target, dst)
+                append((care | rcare, value | rvalue, name))
+    return out
 
 
 def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
@@ -226,9 +237,10 @@ class Dfa:
                     raise ValueError(f"dangling transition {state} -> {dst}")
         full = 1 << self.width
         for state, row in enumerate(mask_rows(self, range(self.width), self.width)):
-            for i, edge in enumerate(row):
-                if next(cube_product((edge,), row[i + 1:]), None) is not None:
-                    raise ValueError(f"overlapping cubes at state {state}")
+            # each cube meets itself, so any further meet is an overlap;
+            # only the count matters, so every pair gets the same name
+            if len(cube_product(row, row, 0, {}, lambda target, dst: 0)) > len(row):
+                raise ValueError(f"overlapping cubes at state {state}")
             covered = sum(full >> care.bit_count() for care, _, _ in row)
             if covered != full:
                 raise ValueError(f"state {state} covers {covered}/{full} symbols")
@@ -352,16 +364,22 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     width = len(tracks)
     a_rows = mask_rows(a, track_columns(a.tracks, tracks), width)
     b_rows = mask_rows(b, track_columns(b.tracks, tracks), width)
+    # pairs numbered in discovery order, as _explore numbers states
+    order = [(a.initial, b.initial)]
+    ids = {a.initial << 32 | b.initial: 0}
 
-    def successors(pair: tuple[int, int]) -> list[tuple[str, tuple]]:
+    def new(da: int, db: int) -> int:
+        order.append((da, db))
+        return len(order) - 1
+
+    delta = []
+    for pa, pb in order:  # grows while it is walked
         # masks inside, strings at the boundary: Dfa cubes stay strings
-        return [(mask_cube(care, value, width), (da, db))
-                for care, value, da, db in cube_product(a_rows[pair[0]], b_rows[pair[1]])]
-
-    order, delta = _explore((a.initial, b.initial), successors)
+        delta.append(tuple(sorted((mask_cube(care, value, width), target) for care, value, target
+                                  in cube_product(a_rows[pa], b_rows[pb], 0, ids, new))))
     accepting = frozenset(i for i, (pa, pb) in enumerate(order)
                           if pa in a.accepting and pb in b.accepting)
-    return Dfa(tracks, len(order), 0, accepting, delta)
+    return Dfa(tracks, len(order), 0, accepting, tuple(delta))
 
 
 def project(a: Dfa, track_index: int) -> Nfa:

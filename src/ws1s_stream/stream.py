@@ -17,10 +17,16 @@ successors of a state, it replays the edge cubes stored for its longest
 previously-explored prefix through the automata added
 since, splitting a cube only where a newer component distinguishes its
 expansions and dropping successors whose new coordinate can no longer
-reach acceptance.  States the search never touches keep their archived
-form at the old arity and cost nothing, which is what keeps the
-per-step price tied to the witness search rather than to the size of
-everything seen so far.
+reach acceptance.  Each level of that fold that belongs to a placed
+prefix is stored there as well, so a placed state's edges are derived at
+most once.  The accepting state that ended one step's search is placed
+but never expanded; the next push's fold through it stores its edges,
+so later pushes replay them instead of folding every component from the
+empty product.  A level is one pass that meets the cubes, interns the
+targets and appends the edges; each stored level is sorted once.
+States the search never touches keep their archived form at the old
+arity and cost nothing, which is what keeps the per-step price tied to
+the witness search rather than to the size of everything seen so far.
 
 The work and memory per node and per edge do not grow with the number
 of components.  A product state is an int id, interned on its prefix
@@ -109,8 +115,11 @@ class StepReport:
     states_explored_step: int
     states_explored_total: int
     max_expanded_depth: int  # deepest layer the search walked, archived edges included; -1 if none
-    expanded: int  # nodes whose successor edges this step derived
-    replayed: int  # of those, the ones derived from an archived complete prefix
+    # nodes whose successor edges this step derived, one fold each (placed
+    # prefixes the fold completes on the way are not counted), and of
+    # those, the ones whose fold started from a complete prefix
+    expanded: int
+    replayed: int
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
     memo_misses: int  # and those it had to build
     components: int  # the product's distinct components after the step
@@ -131,7 +140,8 @@ class _Node:
     on the way through several new components at once are never placed.
     Once ``complete``, ``out`` lists every live successor edge at this
     state's arity as all-int ``(care, value, target id)`` triples, mask
-    cubes over the union tracks of that arity, least symbol first.
+    cubes over the union tracks of that arity, least symbol first.  Only a
+    placed state is ever complete.
     """
 
     __slots__ = ("prefix", "state", "arity", "accepting", "depth", "parent", "value", "out")
@@ -158,16 +168,27 @@ class _Node:
 class _Component:
     """A pushed automaton, the number of columns it adds to the union, and
     per state its edges to live states as mask cubes over the union, whose
-    ``width`` columns hold the automaton's tracks at ``columns``."""
+    ``width`` columns hold the automaton's tracks at ``columns``.  ``new``
+    is its ``cube_product`` callback: it interns, into ``by_id``, the state
+    that extends state ``prefix`` by this component's ``state``."""
 
-    __slots__ = ("dfa", "shift", "rows")
+    __slots__ = ("dfa", "shift", "rows", "new")
 
-    def __init__(self, dfa: Dfa, columns: list[int], width: int, shift: int):
+    def __init__(self, dfa: Dfa, columns: list[int], width: int, shift: int,
+                 by_id: list[_Node]):
         self.dfa = dfa
         self.shift = shift
         alive = coreachable(dfa)
         self.rows = tuple(tuple(e for e in edges if e[2] in alive)
                           for edges in mask_rows(dfa, columns, width))
+        accepting = dfa.accepting
+
+        def new(prefix: int, state: int) -> int:
+            node = by_id[prefix]
+            by_id.append(_Node(node, state, node.accepting and state in accepting))
+            return len(by_id) - 1
+
+        self.new = new
 
 
 _edge_order = itemgetter(1)  # a mask's value is its least symbol; disjoint cubes never tie
@@ -208,6 +229,9 @@ class ProductExplorer:
         self.ids: dict[int, int] = {}  # prefix id << 32 | state -> id, in id order
         self.roots: list[int] = [0]  # initial state id after the first i components
         self.placed = 1  # states placed so far, the empty product included
+        # states of an older arity whose edges a search archived since the
+        # last add_component; their edges may name states drop_components drops
+        self.archived: list[_Node] = []
         # _edges_for calls in the last search, and those that replayed an
         # archived prefix
         self.expanded = self.replayed = 0
@@ -239,10 +263,14 @@ class ProductExplorer:
         for t in new:
             columns[t.index] = len(tracks)
             tracks.append(t)
-        comp = _Component(dfa, [columns[t.index] for t in dfa.tracks], len(tracks), len(new))
+        comp = _Component(dfa, [columns[t.index] for t in dfa.tracks], len(tracks), len(new),
+                          self.by_id)
         self.components.append(comp)
         self.dfas.add(dfa)
-        self.roots.append(self._intern(self.roots[-1], dfa.initial, comp))
+        prefix = self.roots[-1]  # no state of the new arity exists yet
+        root = self.ids[prefix << 32 | dfa.initial] = comp.new(prefix, dfa.initial)
+        self.roots.append(root)
+        self.archived.clear()
 
     def drop_components(self, keep: int) -> None:
         """Undo every ``add_component`` after the first ``keep``.
@@ -254,6 +282,9 @@ class ProductExplorer:
         if keep == len(self.components):
             return
         mark = self.roots[keep + 1]
+        for node in self.archived:  # their edges may name states dropped below
+            node.out = None
+        self.archived.clear()
         self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
         while len(self.ids) >= mark:  # one key per id from 1 on, in id order
@@ -268,38 +299,39 @@ class ProductExplorer:
 
     # -- states and successor derivation ---------------------------------
 
-    def _intern(self, prefix: int, state: int, comp: _Component) -> int:
-        key = prefix << 32 | state  # an int is cheaper than a tuple; no automaton has 2^32 states
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.by_id)
-            node = self.by_id[prefix]
-            self.by_id.append(_Node(node, state, node.accepting and state in comp.dfa.accepting))
-        return i
-
     def _edges_for(self, node: _Node) -> tuple[tuple[int, int, int], ...]:
-        """Live successor edges of a placed state at the current arity.
+        """Derive the live successor edges of a placed state at the current arity.
 
-        Walks prefix links back to the longest fully-explored prefix,
-        taking each component's state on the way, and splits that
-        prefix's archived edge cubes through the components after it; only
-        if no prefix was ever fully explored is the product enumerated fresh.
+        Walks prefix links back to the longest complete prefix and splits
+        its archived edge cubes through the components after it, one
+        ``cube_product`` per component; only if no prefix is complete is the
+        product enumerated fresh, from the empty product's one edge.  The
+        fold's level at arity j is the edge list of ``node[:j]``, so each
+        level whose state is placed becomes that state's ``out``, sorted
+        once, and levels of unplaced states are dropped: a placed state's
+        edges are derived at most once.  Returns ``node``'s own level, now
+        its ``out``; states of older arities it completed go on ``archived``.
         """
-        edges: Sequence[tuple[int, int, int]] = ((0, 0, 0),)  # the empty product's one edge
-        path = []  # (component, its state) after the archived prefix, last first
-        for comp in reversed(self.components):
-            path.append((comp, node.state))
+        chain = [node]  # node and its prefixes after the archived one, last first
+        node = node.prefix
+        while node.out is None and node.prefix is not None:
+            chain.append(node)
             node = node.prefix
-            if node.out is not None:
-                edges = node.out
-                self.replayed += 1
-                break
+        if node.out is None:  # node is the empty product
+            edges: Sequence[tuple[int, int, int]] = ((0, 0, 0),)  # its one edge
+        else:
+            edges = node.out
+            self.replayed += 1
         self.expanded += 1
-        intern = self._intern
-        for comp, state in reversed(path):
-            edges = [(care, value, intern(target, dst, comp)) for care, value, target, dst
-                     in cube_product(edges, comp.rows[state], comp.shift)]
-        return tuple(sorted(edges, key=_edge_order))
+        components, ids = self.components, self.ids
+        for node in reversed(chain):
+            comp = components[node.arity - 1]
+            edges = cube_product(edges, comp.rows[node.state], comp.shift, ids, comp.new)
+            if node.depth >= 0:
+                edges = node.out = tuple(sorted(edges, key=_edge_order))
+                if node.arity < len(components):  # a state of an older arity
+                    self.archived.append(node)
+        return edges
 
     # -- search ------------------------------------------------------------
 
@@ -335,7 +367,7 @@ class ProductExplorer:
             discovered = []  # the next layer, in discovery order
             for node in layer:
                 if node.out is None:
-                    node.out = self._edges_for(node)
+                    self._edges_for(node)
                 max_expanded = max(max_expanded, node.depth)
                 for _, value, target in node.out:
                     if target in seen:

@@ -522,7 +522,7 @@ _PINNED_STREAMS = {
         ([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1, 4, 3),
         ([(0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
           (0, 0, 0, 0, 1)], 1, 5, 4),
-    ], (19, 14)),
+    ], (19, 17)),
     "quantifier-unsat": ([parse(t) for t in ("x < y", "ex1 z: x < z & z < y",
                                               "y = x + 1", "x in Y")], [
         ([(1, 0), (0, 1)], 2, 2, 1),
@@ -553,10 +553,10 @@ def _succ_chain(n):
 
 _PINNED_EXPANSIONS = {  # per step: (expanded, replayed)
     "family1": (_PINNED_STREAMS["family1"][0], [(1, 0), (1, 1), (1, 1), (1, 1)]),
-    "succ-chain": (_PINNED_STREAMS["succ-chain"][0], [(2, 0), (3, 2), (4, 3), (5, 4)]),
+    "succ-chain": (_PINNED_STREAMS["succ-chain"][0], [(2, 0), (3, 2), (4, 4), (5, 5)]),
     "quantifier-unsat": (_PINNED_STREAMS["quantifier-unsat"][0],
                          [(2, 0), (3, 3), (2, 2), (0, 0)]),
-    "succ-24": (_succ_chain(24), [(2, 0)] + [(n + 1, n) for n in range(2, 25)]),
+    "succ-24": (_succ_chain(24), [(2, 0), (3, 2)] + [(n + 1, n + 1) for n in range(3, 25)]),
 }
 
 
@@ -607,7 +607,7 @@ def test_long_succ_chain_counters_are_pinned():
     assert [(r.states_explored_step, r.states_explored_total, r.max_expanded_depth)
             for r in reports] == [(2, 2, 1)] + [(1, n + 1, n) for n in range(2, 25)]
     nodes = s.explorer.nodes.values()
-    assert (len(nodes), sum(node.complete for node in nodes)) == (349, 324)
+    assert (len(nodes), sum(node.complete for node in nodes)) == (349, 347)
 
 
 def test_archived_edges_are_not_gc_tracked():
@@ -619,8 +619,53 @@ def test_archived_edges_are_not_gc_tracked():
         s.push(f)
     gc.collect()
     entries = [e for node in s.explorer.nodes.values() if node.complete for e in node.out]
-    assert len(entries) == 348
+    assert len(entries) == 371
     assert not any(gc.is_tracked(e) for e in entries)
+
+
+def test_placed_states_edges_are_derived_once(monkeypatch):
+    # a fold keeps each level whose prefix is placed, so the accepting
+    # states of earlier steps, placed but never expanded, hold their edges
+    # after the next push; before, the last node on each witness path
+    # folded all i components from the empty product (O(n^2) product steps)
+    steps = []
+    meet = stream.cube_product
+    monkeypatch.setattr(stream, "cube_product", lambda *args: steps.append(1) or meet(*args))
+    s = StreamSession()
+    for n, f in enumerate(_succ_chain(96), start=1):
+        steps.clear()
+        report = s.push(f)
+        assert report.verdict.is_sat and len(report.verdict.witness) == n + 1
+        if n >= 3:
+            assert report.replayed == report.expanded
+        assert len(steps) <= report.expanded + 1
+    # only placed states archive edges, so "replayed" stays the rule the
+    # benchmark tracer reads: some placed prefix is complete
+    assert all(node.out is None for node in s.explorer.by_id if node.depth < 0)
+
+
+def test_search_that_raises_drops_the_edges_it_archived_on_older_states():
+    # a failed search may archive a level on a state placed by an earlier
+    # push, naming states that are dropped with the push; those edges go
+    # too, or the ids they name are handed out again to other states
+    lines = [parse(t) for t in ("Z sub Y | x = x & y = x + 1", "y = y", "x < x | x < y")]
+    s, fresh = StreamSession(budget=18), StreamSession(budget=18)
+    for f in lines[:2]:
+        s.push(f)
+        fresh.push(f)
+    archived = s.explorer.archived
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        s.push(lines[2])
+    assert not archived
+
+    def complete(session):
+        return [(node.arity, node.out) for node in session.explorer.by_id if node.complete]
+
+    assert complete(s) == complete(fresh)
+    s.state_budget = fresh.state_budget = StreamSession().state_budget
+    later, expected = s.push(lines[2]), fresh.push(lines[2])
+    assert (later.verdict, later.expanded, later.replayed) == (
+        expected.verdict, expected.expanded, expected.replayed)
 
 
 def _and_stream(rng, length):
