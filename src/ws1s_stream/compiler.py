@@ -6,8 +6,18 @@ exists only while the quantifier body is being built and is projected
 away before the result escapes.  First-order variables carry the
 exactly-one-1-bit restriction; it is conjoined at the outermost point
 where the variable is live (at quantification for bound ones, at top
-level for free ones) rather than inside every atom, which keeps
-intermediate products small.
+level for free ones) rather than inside every atom.  In a top-level
+``&`` chain the top level is each part, as a session push splits the
+chain: each distinct part is restricted on its own free first-order
+variables and multiplied in, minimized after each product.
+Restricting only the whole chain left every product in the chain
+unrestricted over its full width: the one-shot run of the
+wide-conjuncts benchmark (14 lines, seed 3, Python 3.11 on 2 vCPUs)
+took 0.167 s, 84% of its compile time in ``minimize``, against 0.084 s
+part by part.  Where every part shares the same first-order variables,
+the per-part restrictions repeat: 400 random chains of 2-4 small
+formulas over two first-order names took about 1.3 s whole and 1.7 s
+part by part.
 
 Memoization is keyed on a node's shape: the normalized formula with
 each of the node's tracks named by its rank among them.  A bound
@@ -236,12 +246,41 @@ def compile_formula(
 
     Every free variable must already be registered.  Satisfiability of
     ``f`` is emptiness of the result; a shortest accepted word decodes to
-    a smallest model.
+    a smallest model.  A top-level ``&`` chain is the product of its
+    distinct restricted parts, in text order; minimal automata are
+    canonical, so it is the automaton of the chain built whole.
     """
     f = normalize(f)
     validate_kinds(f)
     env = {v.name: registry.track_of(v) for v in free_vars(f)}
-    key, body = _fold(f, env, cache, determinize_budget)
+    parts: list[Dfa] = []
+    for part in conjuncts(f):
+        dfa = _restricted(part, env, cache, determinize_budget)
+        if dfa not in parts:  # L & L = L
+            parts.append(dfa)
+    result = parts[0]
+    for dfa in parts[1:]:
+        result = minimize(intersect(result, dfa))
+    return result
+
+
+def conjuncts(f: Formula) -> list[Formula]:
+    """The parts of ``f``'s top-level ``&`` chain, in text order; a loop,
+    so a chain of any length splits within the interpreter stack."""
+    parts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
+
+
+def _restricted(f: Formula, env: dict[str, int], cache, budget) -> Dfa:
+    """Minimal automaton of a normalized formula with the exactly-one
+    restriction of each of its free first-order tracks conjoined."""
+    key, body = _fold(f, env, cache, budget)
 
     def restrict() -> Dfa:
         result = body

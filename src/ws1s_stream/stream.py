@@ -71,9 +71,9 @@ from .automata import (
     mask_min_symbol,
     mask_rows,
 )
-from .compiler import MemoCache, TrackRegistry, compile_formula
+from .compiler import MemoCache, TrackRegistry, compile_formula, conjuncts
 from .errors import StateBudgetExceeded, TrackKindConflict, WsError
-from .syntax import And, Formula, free_vars
+from .syntax import Formula, free_vars
 
 DEFAULT_SESSION_BUDGET = 5_000_000
 
@@ -471,7 +471,7 @@ class StreamSession:
             t0 = time.perf_counter_ns()
             dfas = [compile_formula(part, self.registry, self.cache,
                                     determinize_budget=self.determinize_budget)
-                    for f in formulas for part in _conjuncts(f)]
+                    for f in formulas for part in conjuncts(f)]
             compile_ns = time.perf_counter_ns() - t0
 
             t1 = time.perf_counter_ns()
@@ -510,19 +510,6 @@ class StreamSession:
             return None
         names = [self.registry.name_of(t.index) for t in self.explorer.union_tracks]
         return [dict(zip(names, symbol)) for symbol in verdict.witness]
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The parts of ``f``'s top-level ``&`` chain, in text order; a loop,
-    so a chain of any length splits within the interpreter stack."""
-    parts, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            parts.append(g)
-    return parts
 
 
 def from_scratch_check(

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import random
 
 import pytest
 
 from formula_gen import compiled, language_matches_oracle, random_formula
+from ws1s_stream import compiler
 from ws1s_stream.automata import (
     accepts,
     dump,
@@ -109,6 +111,32 @@ def test_compositionality_on_random_pairs():
         assert language_equiv(both, separate)
 
 
+def test_a_chain_built_from_its_parts_dumps_as_the_chain_built_whole():
+    # normalize keeps the double negation, so the right side folds the
+    # chain whole and restricts it once at the top
+    rng = random.Random(53)
+    cache = MemoCache()
+    for _ in range(150):
+        chain = functools.reduce(And, [random_formula(rng) for _ in range(rng.randint(2, 4))])
+        registry = _registry_for(chain)
+        assert dump(compile_formula(chain, registry, cache)) == \
+            dump(compile_formula(Not(Not(chain)), registry))
+
+
+@pytest.mark.parametrize("cache, widths", [
+    (MemoCache, [1, 2]),  # all three parts share one shape
+    (lambda: None, [1, 1, 1, 2]),  # each part is restricted, the repeat too
+], ids=["memo", "no-memo"])
+def test_a_repeated_part_is_multiplied_in_once(cache, widths, monkeypatch):
+    # a restriction meets a one-track automaton; the product of the two
+    # distinct parts is the only meet with a two-track one
+    seen = []
+    monkeypatch.setattr(compiler, "intersect", lambda a, b: seen.append(b.width) or intersect(a, b))
+    f = parse("x in Y & x in Y & y in Z")
+    compile_formula(f, _registry_for(f), cache())
+    assert seen == widths
+
+
 def test_memo_cache_is_transparent():
     rng = random.Random(43)
     cache = MemoCache()
@@ -186,21 +214,30 @@ def test_one_shape_compiles_once_however_long_the_chain():
     assert _succ_chain_misses(20) == _succ_chain_misses(40)
 
 
-def _chain_key_chars(n):
-    f = parse(" & ".join(["x in Y"] * n))
+def _chain(n):
+    return " & ".join(["x in Y"] * n)
+
+
+def _key_chars(text):
+    f = parse(text)
     cache = MemoCache()
     compile_formula(f, _registry_for(f), cache)
     return cache, sum(len(key) for key in {*cache._table, *cache._names})
 
 
 def test_memo_key_characters_grow_linearly_in_a_chain():
-    # a key names its children by the short names the cache gives their
-    # keys; keys that embedded their children's keys whole kept 5.3 MB of
-    # characters for this chain of 900 conjuncts, and 589 KB for 300
-    cache, chars = _chain_key_chars(900)
-    assert (cache.hits, cache.misses) == (899, 901)
+    # a top-level chain is compiled part by part: the atom and its
+    # restricted entry, which every part after the first hits
+    cache, _ = _key_chars(_chain(900))
+    assert (cache.hits, cache.misses) == (1798, 2)
+    # under a negation _fold builds the chain whole; a key names its
+    # children by the short names the cache gives their keys, and keys that
+    # embedded their children's keys whole kept 5.3 MB of characters for
+    # this chain of 900 conjuncts, and 589 KB for 300
+    cache, chars = _key_chars(f"~({_chain(900)})")
+    assert (cache.hits, cache.misses) == (899, 902)
     assert chars <= 16 * 901
-    _, shorter = _chain_key_chars(300)
+    _, shorter = _key_chars(f"~({_chain(300)})")
     assert chars <= 3.5 * shorter
 
 
