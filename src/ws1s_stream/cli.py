@@ -156,6 +156,8 @@ def stream_command(
                 "explored_total": report.states_explored_total,
                 "expanded": report.expanded,
                 "replayed": report.replayed,
+                "skipped": report.skipped,
+                "bound_raises": report.bound_raises,
                 "memo_hits": report.memo_hits,
                 "memo_misses": report.memo_misses,
                 "components": report.components,

@@ -10,6 +10,18 @@ that state's outgoing edge cubes, and decides each step by a
 shortest-first search that stops at the first state in which every
 component accepts.
 
+The search is bounded by the witness length, after Fiedor et al.'s lazy
+WS1S techniques and IDA*'s bound-raising rule.  Each component state
+knows its accept distance, and a product state's ``h``, the largest
+among its components, is a lower bound on its own.  A bound D starts at
+the last witness's length, since adding components never shortens the
+witness, and a state at depth d is expanded only when ``h <= D - d``.
+Every successor of an expanded state is still discovered, so the
+witness is the one the unbounded search finds.  A walk that finds
+nothing but skipped some state raises D to the least depth + ``h`` it
+skipped and resumes at the shallowest layer that skipped one, whose
+expanded states replay their edges.
+
 Product states are append-only: a component once pushed keeps its slot,
 and a state explored at an earlier step is extended rather than
 rebuilt.  Extension is demand-driven: when the search needs the
@@ -32,7 +44,8 @@ The work and memory per node and per edge do not grow with the number
 of components.  A product state is an int id, interned on its prefix
 and its last component state, and holds no tuple: the longest explored
 prefix, and the component states after it, are read along prefix links,
-and acceptance is the prefix's acceptance and the last component's.
+and the accept-distance bound ``h`` is the larger of the prefix's and the
+last component state's.
 Edge cubes are ``(care, value)`` int masks (see ``automata``), so
 widening is a shift, meeting is a few bit operations, and least-symbol
 order is the order of ``value``.
@@ -120,6 +133,10 @@ class StepReport:
     # those, the ones whose fold started from a complete prefix
     expanded: int
     replayed: int
+    # states the search's walk left unexpanded at its final bound, as their
+    # accept distance exceeded what the bound left, and the times the bound rose
+    skipped: int
+    bound_raises: int
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
     memo_misses: int  # and those it had to build
     components: int  # the product's distinct components after the step
@@ -133,21 +150,24 @@ class _Node:
     the empty product), and ``state``, the component state appended to it,
     the first time an edge or a root reaches it.  As for a tuple,
     ``len(node)`` is its ``arity``, kept when it is interned, and
-    ``node[:j]`` its prefix at arity j, ``arity - j`` links back.  A
-    search places it when it discovers it: ``depth`` (-1 until then) is its
-    layer, ``parent`` its predecessor on its shortest lex-least path and
-    ``value`` the least symbol of that last edge, as a mask.  States interned
-    on the way through several new components at once are never placed.
-    Once ``complete``, ``out`` lists every live successor edge at this
-    state's arity as all-int ``(care, value, target id)`` triples, mask
-    cubes over the union tracks of that arity, least symbol first.  Only a
-    placed state is ever complete.
+    ``node[:j]`` its prefix at arity j, ``arity - j`` links back.  ``h`` is
+    the largest accept distance among its component states, its prefix's
+    ``h`` or its last state's distance, set at interning: no word shorter
+    than ``h`` leads it to acceptance, and it accepts exactly when ``h`` is
+    0.  A search places it when it discovers it: ``depth`` (-1 until then)
+    is its layer, ``parent`` its predecessor on its shortest lex-least path
+    and ``value`` the least symbol of that last edge, as a mask.  States
+    interned on the way through several new components at once are never
+    placed.  Once ``complete``, ``out`` lists every live successor edge at
+    this state's arity as all-int ``(care, value, target id)`` triples,
+    mask cubes over the union tracks of that arity, least symbol first.
+    Only a placed state is ever complete.
     """
 
-    __slots__ = ("prefix", "state", "arity", "accepting", "depth", "parent", "value", "out")
+    __slots__ = ("prefix", "state", "arity", "h", "depth", "parent", "value", "out")
 
-    def __init__(self, prefix: _Node | None, state: int, accepting: bool):
-        self.prefix, self.state, self.accepting = prefix, state, accepting
+    def __init__(self, prefix: _Node | None, state: int, h: int):
+        self.prefix, self.state, self.h = prefix, state, h
         self.arity = 0 if prefix is None else prefix.arity + 1
         self.depth, self.parent, self.value, self.out = -1, None, 0, None
 
@@ -165,14 +185,40 @@ class _Node:
         return node
 
 
-class _Component:
-    """A pushed automaton, the number of columns it adds to the union, and
-    per state its edges to live states as mask cubes over the union, whose
-    ``width`` columns hold the automaton's tracks at ``columns``.  ``new``
-    is its ``cube_product`` callback: it interns, into ``by_id``, the state
-    that extends state ``prefix`` by this component's ``state``."""
+_FAR = 1 << 30  # the accept distance of a state that cannot reach acceptance
 
-    __slots__ = ("dfa", "shift", "rows", "new")
+
+def _accept_distances(rows: Sequence[Sequence[tuple[int, int, int]]],
+                      accepting: frozenset[int]) -> tuple[int, ...]:
+    """Per state, the fewest edges of ``rows`` to an accepting state, or
+    ``_FAR``: a backward breadth-first search from the accepting states."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for src, edges in enumerate(rows):
+        for _, _, dst in edges:
+            preds[dst].append(src)
+    dist = [_FAR] * len(rows)
+    layer = list(accepting)
+    for state in layer:
+        dist[state] = 0
+    distance = 0
+    while layer:
+        distance += 1
+        previous, layer = layer, []
+        for state in previous:
+            for src in preds[state]:
+                if dist[src] == _FAR:
+                    dist[src] = distance
+                    layer.append(src)
+    return tuple(dist)
+
+
+class _Component:
+    """A pushed automaton, the number of columns it adds to the union, per
+    state its edges to live states as mask cubes over the union, whose
+    ``width`` columns hold the automaton's tracks at ``columns``, and per
+    state its accept distance.  ``new`` is its ``cube_product`` callback."""
+
+    __slots__ = ("dfa", "shift", "rows", "dist", "by_id")
 
     def __init__(self, dfa: Dfa, columns: list[int], width: int, shift: int,
                  by_id: list[_Node]):
@@ -181,14 +227,17 @@ class _Component:
         alive = coreachable(dfa)
         self.rows = tuple(tuple(e for e in edges if e[2] in alive)
                           for edges in mask_rows(dfa, columns, width))
-        accepting = dfa.accepting
+        self.dist = _accept_distances(self.rows, dfa.accepting)
+        self.by_id = by_id
 
-        def new(prefix: int, state: int) -> int:
-            node = by_id[prefix]
-            by_id.append(_Node(node, state, node.accepting and state in accepting))
-            return len(by_id) - 1
-
-        self.new = new
+    def new(self, prefix: int, state: int) -> int:
+        """Intern, into ``by_id``, the state that extends state ``prefix`` by
+        this component's ``state``; returns its id."""
+        by_id = self.by_id
+        node = by_id[prefix]
+        h = self.dist[state]
+        by_id.append(_Node(node, state, node.h if node.h > h else h))
+        return len(by_id) - 1
 
 
 _edge_order = itemgetter(1)  # a mask's value is its least symbol; disjoint cubes never tie
@@ -223,7 +272,7 @@ class ProductExplorer:
         self.columns: dict[int, int] = {}  # track index -> its column in the union
         # the empty product accepts the empty word: a conjunction of
         # nothing is true.  It has id 0 and is placed from the start.
-        empty = _Node(None, -1, accepting=True)
+        empty = _Node(None, -1, 0)
         empty.depth = 0
         self.by_id: list[_Node] = [empty]
         self.ids: dict[int, int] = {}  # prefix id << 32 | state -> id, in id order
@@ -232,9 +281,13 @@ class ProductExplorer:
         # states of an older arity whose edges a search archived since the
         # last add_component; their edges may name states drop_components drops
         self.archived: list[_Node] = []
-        # _edges_for calls in the last search, and those that replayed an
-        # archived prefix
-        self.expanded = self.replayed = 0
+        # no witness of a later search is shorter: the last witness's length,
+        # or _FAR once a search found none (components only shrink the language)
+        self.bound = 0
+        # in the last search: _edges_for calls, those that replayed an
+        # archived prefix, states its last walk left unexpanded and raises
+        # of its bound
+        self.expanded = self.replayed = self.skipped = self.bound_raises = 0
 
     @property
     def nodes(self) -> _Placed:
@@ -342,58 +395,112 @@ class ProductExplorer:
         were walked, archived edges included; -1 if none).  A sat verdict's
         word is the ``value`` of each placed state on the witness path, and
         its step index is filled in by the caller.  A layer's nodes are
-        expanded in discovery order, each along its edges least symbol
+        walked in discovery order, each along its edges least symbol
         first, and a target's first discovery places it; paths into one
         layer have equal length, so that is lexicographic path order, and
         the first accepting node ends the shortest lex-least witness, read
-        back along parent links.  Whole layers are materialized, so counts
+        back along parent links.  Whole layers are discovered, so counts
         are reproducible.  Every step of it works on ids and prefix links;
         placing a state sets its depth and counts it against ``state_budget``.
+
+        The walk is bounded.  With bound D, a state at depth d is expanded
+        only when its ``h``, a lower bound on its distance to acceptance,
+        is at most D - d; any other state reaches acceptance only by a path
+        longer than D, and since ``h`` drops by at most 1 along an edge, so
+        do its successors.  Every successor of an expanded state is still
+        discovered, so the states that can lie on a witness of length up to
+        D are placed as the unbounded walk places them: the witness is the
+        same.  D starts at the larger of ``bound``, which no witness at a
+        later arity undercuts, and the root's ``h``.  A walk that ends with
+        nothing accepting but some state skipped raises D to the least
+        depth + ``h`` among the skipped states, as IDA* does, unplaces the
+        states placed below the shallowest layer that skipped one, and
+        resumes at that layer, whose expanded states replay their edges.
+        A search that raises an exception may leave states placed under a
+        smaller bound, so its caller drops the arity (as ``StreamSession``
+        does) rather than searching it again.
         """
         by_id = self.by_id
-        created, max_expanded = 0, -1
-        extended_free: set[_Node] = set()  # placed prefixes a free extension has used
-        self.expanded = self.replayed = 0
+        created = 0
+        free: dict[_Node, _Node] = {}  # placed prefix -> the free extension that used it
+        self.expanded = self.replayed = self.bound_raises = 0
 
         root = by_id[self.roots[-1]]
         if root.depth < 0:  # the initial state is free
             root.depth = 0
             self.placed += 1
-            extended_free.add(root.prefix)
-        found = root if root.accepting else None
-        seen = {self.roots[-1]}  # placed by this search, not by an earlier one
-        layer = [root]
-        while found is None and layer:
-            discovered = []  # the next layer, in discovery order
-            for node in layer:
-                if node.out is None:
-                    self._edges_for(node)
-                max_expanded = max(max_expanded, node.depth)
-                for _, value, target in node.out:
-                    if target in seen:
+            free[root.prefix] = root
+        found = root if root.h == 0 else None
+        bound = max(self.bound, root.h)
+        seen = {root}  # discovered by this search (an earlier one may have placed them)
+        layers = [[root]]  # the states discovered per depth, in discovery order
+        layer, depth = layers[0], 0
+        while True:
+            skipped, shallowest, least = 0, -1, _FAR  # least depth + h among the skipped
+            while found is None and layer:
+                discovered = []  # the next layer, in discovery order
+                radius = bound - depth
+                for node in layer:
+                    if node.h > radius:
+                        skipped += 1
+                        if shallowest < 0:
+                            shallowest = depth
+                        least = min(least, depth + node.h)
                         continue
-                    seen.add(target)
-                    child = by_id[target]
-                    discovered.append(child)
-                    if child.depth < 0:
-                        prefix = child.prefix
-                        if prefix.depth >= 0 and prefix not in extended_free:
-                            extended_free.add(prefix)  # extending a known state is free
-                        else:
-                            created += 1
-                        if self.placed >= state_budget:
-                            raise StateBudgetExceeded(state_budget, "product exploration")
-                        self.placed += 1
-                        child.depth, child.parent, child.value = node.depth + 1, node, value
-                    if found is None and child.accepting:
-                        found = child
-            layer = discovered
+                    if node.out is None:
+                        self._edges_for(node)
+                    for _, value, target in node.out:
+                        child = by_id[target]
+                        if child in seen:
+                            continue
+                        seen.add(child)
+                        discovered.append(child)
+                        if child.depth < 0:
+                            prefix = child.prefix
+                            if prefix.depth >= 0 and prefix not in free:
+                                free[prefix] = child  # extending a known state is free
+                            else:
+                                created += 1
+                            if self.placed >= state_budget:
+                                raise StateBudgetExceeded(state_budget, "product exploration")
+                            self.placed += 1
+                            child.depth, child.parent, child.value = depth + 1, node, value
+                        if found is None and child.h == 0:
+                            found = child
+                layers.append(discovered)
+                layer = discovered
+                depth += 1
+            if found is not None or shallowest < 0:
+                break
+            bound = least
+            self.bound_raises += 1
+            # only the first search at an arity can raise its bound (a later
+            # one starts at its witness's length, or at _FAR after unsat), so
+            # this search placed every state below the shallowest layer
+            for unplaced in layers[shallowest + 1:]:
+                seen.difference_update(unplaced)
+                self.placed -= len(unplaced)
+                for node in unplaced:
+                    node.depth, node.parent, node.value, node.out = -1, None, 0, None
+                    if free.get(node.prefix) is node:
+                        del free[node.prefix]
+                    else:
+                        created -= 1
+            del layers[shallowest + 1:]
+            layer, depth = layers[shallowest], shallowest
+        # the last walk reached as deep as any earlier one, and expanded a
+        # state of its last layer: the one that discovered the witness, or,
+        # as it skipped nothing, all of them
+        max_expanded = depth - 1
+        self.skipped = skipped
         if found is None:
+            self.bound = _FAR
             return StepVerdict(0, "unsat", None), created, max_expanded
         word = []
         while found.parent is not None:
             word.append(found.value)
             found = found.parent
+        self.bound = len(word)
         return StepVerdict(0, "sat", tuple(word[::-1]), len(self.tracks)), created, max_expanded
 
 
@@ -482,10 +589,12 @@ class StreamSession:
             searching = previous.is_sat and len(self.explorer.components) > kept
             if searching:
                 partial, explored, max_depth = self.explorer.search(self.state_budget)
-                expanded, replayed = self.explorer.expanded, self.explorer.replayed
+                explorer = self.explorer
+                counters = (explorer.expanded, explorer.replayed, explorer.skipped,
+                            explorer.bound_raises)
             else:
                 partial, explored, max_depth = previous, 0, -1
-                expanded = replayed = 0
+                counters = (0, 0, 0, 0)
         except BaseException as exc:
             self.explorer.drop_components(kept)
             self.registry.unregister_after(registered)
@@ -498,7 +607,7 @@ class StreamSession:
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = replace(partial, step=self.step)  # with no new component, the same word
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
-                            max_depth, expanded, replayed, self.cache.hits - hits,
+                            max_depth, *counters, self.cache.hits - hits,
                             self.cache.misses - misses, len(self.explorer.components),
                             verdict)
         self.reports.append(report)

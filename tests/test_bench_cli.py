@@ -169,6 +169,20 @@ def test_stream_command_jsonl_records_expansions():
     assert [(r["expanded"], r["replayed"]) for r in records] == [(1, 0), (1, 1), (1, 1), (4, 4), (0, 0)]
 
 
+def test_stream_command_jsonl_records_skipped_states_and_bound_raises():
+    text = ("ex1 z: z < x4 & z in Y3\n~(x4 = x2 + 1)\nx4 in Y3\n"
+            "all1 z: z < x3 -> z in Y3\n~(x1 in Y3)\n")
+    code, out, _ = _run_stream(text, log_jsonl=True)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    # states whose accept distance exceeds what the bound leaves are not
+    # expanded; the last step finds no witness of the last one's length and
+    # raises its bound once
+    assert [(r["skipped"], r["bound_raises"]) for r in records] == [
+        (0, 0), (2, 0), (2, 0), (4, 0), (3, 1)]
+    assert [len(r["witness"]) for r in records] == [2, 2, 2, 2, 3]
+
+
 def test_stream_command_jsonl_records_memo_counters():
     text = "x1 = x0 + 1\nx2 = x1 + 1\nx3 = x2 + 1\n~(x2 = x1 + 1)\n"
     code, out, _ = _run_stream(text, log_jsonl=True)

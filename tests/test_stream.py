@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -26,7 +27,7 @@ from ws1s_stream.stream import (
     from_scratch_check,
     session_stats,
 )
-from ws1s_stream.syntax import And, In, Kind, Not, VarId, free_vars, parse
+from ws1s_stream.syntax import And, In, Kind, Less, Not, Succ, VarId, free_vars, parse
 
 
 def _conjunction(formulas):
@@ -924,3 +925,157 @@ def test_adding_a_component_appends_only_its_new_tracks():
     assert explorer.search(100)[0].witness == [(1, 1, 1)]
     explorer.drop_components(1)
     assert (explorer.union_tracks, explorer.columns) == (held[:1], {0: 0})
+
+
+_BOUND_COUNTERS = {  # per step: (skipped, bound_raises)
+    "family1": [(0, 0)] * 4,
+    "succ-chain": [(0, 0), (0, 1), (0, 1), (0, 1)],
+    "quantifier-unsat": [(0, 0)] * 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
+def test_bound_counters_are_pinned(name):
+    # each succ push first walks at the last witness's length, which no state
+    # reaches acceptance within, then once more at one symbol longer
+    s = StreamSession()
+    got = [(r.skipped, r.bound_raises) for r in map(s.push, _PINNED_STREAMS[name][0])]
+    assert got == _BOUND_COUNTERS[name]
+
+
+_FO_POOL, _SO_POOL = ("x1", "x2", "x3", "x4", "x5", "x6"), ("Y1", "Y2", "Y3")
+
+
+def _renamed(rng, f):
+    """``f`` with its free variables renamed onto a wider vocabulary, so that
+    conjuncts of a stream chain through shared variables."""
+    names = {v: VarId(rng.choice(_FO_POOL if v.kind is Kind.FIRST_ORDER else _SO_POOL), v.kind)
+             for v in free_vars(f)}
+
+    def rename(g):
+        if isinstance(g, VarId):
+            return names.get(g, g)
+        return dataclasses.replace(g, **{field.name: rename(getattr(g, field.name))
+                                         for field in dataclasses.fields(g)})
+
+    return rename(f)
+
+
+def _chained_stream(rng, length):
+    """Random conjuncts renamed onto a shared vocabulary, some pushed as
+    ``&`` lines with an order atom that lengthens the witness, some
+    repeating an earlier line exactly."""
+    out = []
+    for _ in range(length):
+        if out and rng.random() < 0.2:
+            out.append(rng.choice(out))
+            continue
+        parts = [_renamed(rng, random_formula(rng, rng.choice((2, 3))))
+                 for _ in range(rng.choice((1, 2)))]
+        if rng.random() < 0.6:
+            x, y = (VarId(name, Kind.FIRST_ORDER) for name in sorted(rng.sample(_FO_POOL, 2)))
+            parts.append(rng.choice((Less(x, y), Succ(y, x))))
+        out.append(_conjunction(parts))
+    return out
+
+
+def test_bounded_search_keeps_the_witness_of_the_whole_conjunction():
+    # the bound skips states, rises and resumes; each witness is still the
+    # shortest lex-least word of the whole prefix compiled as one formula
+    rng = random.Random(107)
+    skipped = raises = 0
+    for _ in range(40):
+        formulas = _chained_stream(rng, 6)
+        s, cache = StreamSession(), MemoCache()
+        for n, f in enumerate(formulas, start=1):
+            report = s.push(f)
+            whole = compile_formula(_conjunction(formulas[:n]), s.registry, cache)
+            assert report.verdict.witness == find_witness(cylindrify(whole, s.explorer.union_tracks))
+            skipped, raises = skipped + report.skipped, raises + report.bound_raises
+            if not report.verdict.is_sat:
+                break  # no search runs after unsat
+    assert skipped >= 100 and raises >= 10  # the bound rose and the walk resumed
+
+
+_RESUMED = [parse(t) for t in ("ex1 z: z < x4 & z in Y3", "~(x4 = x2 + 1)", "x4 in Y3",
+                               "all1 z: z < x3 -> z in Y3", "~(x1 in Y3)")]
+
+
+def _placements(explorer):
+    """Each placed state as its component states, with its depth, its
+    parent's component states, its last symbol and whether it is complete."""
+    def states(node):
+        return () if node is None else states(node.prefix) + (node.state,)
+
+    return {(states(node), node.depth, states(node.parent), node.value, node.complete)
+            for node in explorer.by_id if node.depth >= 0}
+
+
+def test_resumed_walk_places_what_a_walk_at_the_raised_bound_places():
+    # the last push walks at bound 2, skips a state at layer 1 and walks on
+    # to layer 2; no state accepts, so the bound rises to 3 and the walk
+    # resumes at layer 1, unplacing layer 2 first
+    s = StreamSession()
+    reports = [s.push(f) for f in _RESUMED]
+    last = reports[-1]
+    assert [len(r.verdict.witness) for r in reports] == [2, 2, 2, 2, 3]
+    assert (last.bound_raises, last.skipped, last.expanded) == (1, 3, 17)
+    # a walk started at the raised bound makes the same placements, and
+    # nothing that is not placed keeps edges
+    direct = StreamSession()
+    for f in _RESUMED[:-1]:
+        direct.push(f)
+    direct.explorer.bound = 3
+    once = direct.push(_RESUMED[-1])
+    assert (once.bound_raises, once.skipped, once.verdict) == (0, 3, last.verdict)
+    assert once.states_explored_step == last.states_explored_step
+    assert _placements(s.explorer) == _placements(direct.explorer)
+    assert s.explorer.placed == len(_placements(s.explorer))
+    assert all(node.out is None for node in s.explorer.by_id if node.depth < 0)
+
+
+def test_push_that_exceeds_the_budget_after_a_bound_raise_leaves_the_session_as_it_was():
+    def state(session):
+        explorer = session.explorer
+        return (_session_state(session), explorer.bound, explorer.placed,
+                [(node.arity, node.out) for node in explorer.by_id if node.complete])
+
+    s = StreamSession()
+    for f in _RESUMED[:-1]:
+        s.push(f)
+    before = state(s)
+    s.state_budget = s.explorer.placed + 18  # the first walk places 15 states, the resumed one 22
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        s.push(_RESUMED[-1])
+    assert s.explorer.bound_raises == 1  # the search raised its bound before it ran out
+    assert state(s) == before
+    s.state_budget = StreamSession().state_budget
+    fresh = StreamSession()
+    for f in _RESUMED[:-1]:
+        fresh.push(f)
+    later, expected = s.push(_RESUMED[-1]), fresh.push(_RESUMED[-1])
+    # the memo cache keeps what the failed push compiled
+    untimed = {"compile_ns": 0, "process_ns": 0, "memo_hits": 0, "memo_misses": 0}
+    assert dataclasses.replace(later, **untimed) == dataclasses.replace(expected, **untimed)
+
+
+def test_one_shot_search_replays_the_layers_it_resumes(monkeypatch):
+    # a fresh explorer starts at the root's bound and raises it one symbol
+    # per walk, resuming each time at its last layer, where it only skipped
+    # states: nothing is unplaced or folded twice, so each expansion folds
+    # each of the k components once
+    steps, per_search = [], []
+    meet, search = stream.cube_product, ProductExplorer.search
+    monkeypatch.setattr(stream, "cube_product", lambda *args: steps.append(1) or meet(*args))
+
+    def counted(explorer, state_budget):
+        before = len(steps)
+        out = search(explorer, state_budget)
+        per_search.append(len(steps) - before)
+        return out
+
+    monkeypatch.setattr(ProductExplorer, "search", counted)
+    _, reports = from_scratch_check(_succ_chain(48))
+    assert [r.bound_raises for r in reports] == list(range(48))
+    assert per_search == [r.expanded * k for k, r in enumerate(reports, start=1)]
+    assert [r.expanded for r in reports] == list(range(2, 50))
