@@ -158,6 +158,7 @@ def stream_command(
                 "replayed": report.replayed,
                 "skipped": report.skipped,
                 "bound_raises": report.bound_raises,
+                "edges_held": report.edges_held,
                 "memo_hits": report.memo_hits,
                 "memo_misses": report.memo_misses,
                 "components": report.components,

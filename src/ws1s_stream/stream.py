@@ -5,10 +5,10 @@ part is compiled to its own minimal automaton: one product component
 per distinct top-level conjunct, since a part equal to a component
 already in the product adds nothing (L & L = L).  The conjunction's
 product automaton is never materialized.  Instead the
-session keeps every product state it has ever explored, together with
-that state's outgoing edge cubes, and decides each step by a
-shortest-first search that stops at the first state in which every
-component accepts.
+session keeps every product state it has ever explored, and the
+outgoing edge cubes of the states its last two searches derived them
+for, and decides each step by a shortest-first search that stops at the
+first state in which every component accepts.
 
 The search is bounded by the witness length, after Fiedor et al.'s lazy
 WS1S techniques and IDA*'s bound-raising rule.  Each component state
@@ -31,14 +31,24 @@ since, splitting a cube only where a newer component distinguishes its
 expansions and dropping successors whose new coordinate can no longer
 reach acceptance.  Each level of that fold that belongs to a placed
 prefix is stored there as well, so a placed state's edges are derived at
-most once.  The accepting state that ended one step's search is placed
-but never expanded; the next push's fold through it stores its edges,
-so later pushes replay them instead of folding every component from the
-empty product.  A level is one pass that meets the cubes, interns the
-targets and appends the edges; each stored level is sorted once.
+most once while they are kept.  The accepting state that ended one
+step's search is placed but never expanded; the next push's fold through
+it stores its edges, so later pushes replay them instead of folding
+every component from the empty product.  A level is one pass that meets
+the cubes, interns the targets and appends the edges; each stored level
+is sorted once.
 States the search never touches keep their archived form at the old
 arity and cost nothing, which is what keeps the per-step price tied to
 the witness search rather than to the size of everything seen so far.
+
+Stored edges are a cache that follows the search frontier.  Nearly every
+replay starts from the arity just before, so the edges stored by the
+last two searches are kept and older ones are released, oldest first,
+at the end of each sat search, never faster than searches derive new
+ones, so no push pays for one large free.  After unsat no search runs
+again, and everything is released.  A released state stays placed; a
+fold that passes it again re-derives its edges from its longest
+complete prefix.
 
 The work and memory per node and per edge do not grow with the number
 of components.  A product state is an int id, interned on its prefix
@@ -69,6 +79,7 @@ from-scratch baseline runs the same path on a fresh session per prefix.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -137,6 +148,7 @@ class StepReport:
     # accept distance exceeded what the bound left, and the times the bound rose
     skipped: int
     bound_raises: int
+    edges_held: int  # edges stored on complete states after the step
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
     memo_misses: int  # and those it had to build
     components: int  # the product's distinct components after the step
@@ -161,7 +173,10 @@ class _Node:
     placed.  Once ``complete``, ``out`` lists every live successor edge at
     this state's arity as all-int ``(care, value, target id)`` triples,
     mask cubes over the union tracks of that arity, least symbol first.
-    Only a placed state is ever complete.
+    Only a placed state is ever complete, and it stays complete until the
+    explorer releases its edges (``out`` back to None), at the end of the
+    second search after the one that stored them at the earliest; it stays
+    placed, and a later fold that passes through it derives them again.
     """
 
     __slots__ = ("prefix", "state", "arity", "h", "depth", "parent", "value", "out")
@@ -278,9 +293,16 @@ class ProductExplorer:
         self.ids: dict[int, int] = {}  # prefix id << 32 | state -> id, in id order
         self.roots: list[int] = [0]  # initial state id after the first i components
         self.placed = 1  # states placed so far, the empty product included
-        # states of an older arity whose edges a search archived since the
-        # last add_component; their edges may name states drop_components drops
+        # the states whose edges are stored, by the search that stored them:
+        # the running one (if it raises, its edges may name states
+        # drop_components drops), the last two, and older ones still to be
+        # released, oldest first
         self.archived: list[_Node] = []
+        self.kept: list[list[_Node]] = [[], []]
+        self.old: deque[_Node] = deque()
+        self.held = 0  # edges stored on complete states
+        self.credit = 0  # edges derived by searches whose release has not caught up
+        self.searched = 0  # the arity of the last search that ended
         # no witness of a later search is shorter: the last witness's length,
         # or _FAR once a search found none (components only shrink the language)
         self.bound = 0
@@ -323,20 +345,23 @@ class ProductExplorer:
         prefix = self.roots[-1]  # no state of the new arity exists yet
         root = self.ids[prefix << 32 | dfa.initial] = comp.new(prefix, dfa.initial)
         self.roots.append(root)
-        self.archived.clear()
 
     def drop_components(self, keep: int) -> None:
         """Undo every ``add_component`` after the first ``keep``.
 
         Every state interned since goes too.  The root at arity ``keep + 1``
         was the first of them (nothing reaches an arity before its root),
-        so they are the tail of the id list from that root on.
+        so they are the tail of the id list from that root on.  Edges
+        stored since may name those states, so they go as well: those of a
+        search that raised, which is all a failed push leaves, and every
+        stored edge if a search that ended used a component dropped here.
         """
         if keep == len(self.components):
             return
         mark = self.roots[keep + 1]
-        for node in self.archived:  # their edges may name states dropped below
-            node.out = None
+        if keep < self.searched:
+            self._release_all()
+        self._release(self.archived)
         self.archived.clear()
         self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
@@ -362,8 +387,10 @@ class ProductExplorer:
         fold's level at arity j is the edge list of ``node[:j]``, so each
         level whose state is placed becomes that state's ``out``, sorted
         once, and levels of unplaced states are dropped: a placed state's
-        edges are derived at most once.  Returns ``node``'s own level, now
-        its ``out``; states of older arities it completed go on ``archived``.
+        edges are derived at most once while they are kept.  Returns
+        ``node``'s own level, now its ``out``; every state it completed goes
+        on ``archived``, the running search's list, and its edges count in
+        ``held``.
         """
         chain = [node]  # node and its prefixes after the archived one, last first
         node = node.prefix
@@ -382,9 +409,57 @@ class ProductExplorer:
             edges = cube_product(edges, comp.rows[node.state], comp.shift, ids, comp.new)
             if node.depth >= 0:
                 edges = node.out = tuple(sorted(edges, key=_edge_order))
-                if node.arity < len(components):  # a state of an older arity
-                    self.archived.append(node)
+                self.archived.append(node)
+                self.held += len(edges)
         return edges
+
+    def _release(self, nodes) -> None:
+        """Drop the stored edges of ``nodes``; a state listed twice, or
+        whose edges are gone already, is passed over."""
+        for node in nodes:
+            if node.out is not None:
+                self.held -= len(node.out)
+                node.out = None
+
+    def _release_all(self) -> None:
+        """Drop every stored edge, and the lists of the states that held them."""
+        for nodes in (self.old, *self.kept, self.archived):
+            self._release(nodes)
+        self.old.clear()
+        self.archived.clear()
+        self.kept, self.credit = [[], []], 0
+
+    def _retire(self, sat: bool, derived: int) -> None:
+        """Close the running search's list, which stored ``derived`` edges.
+
+        After sat, the last two searches' lists are kept, and the states of
+        older ones are released oldest first, while their edges fit in the
+        credit: what this search derived plus what earlier ones derived
+        that release has not yet caught up with.  So the edges a push frees
+        follow the edges searches derive, and no push pays for freeing an
+        old search's edges all at once.  After unsat no search follows, and
+        everything goes.
+        """
+        self.searched = len(self.components)
+        if not sat:
+            self._release_all()
+            return
+        old = self.old
+        old.extend(self.kept.pop(0))
+        self.kept.append(self.archived)
+        self.archived = []
+        credit = self.credit + derived
+        held = self.held
+        while old:
+            node = old[0]
+            if node.out is not None:
+                if len(node.out) > credit:
+                    break
+                credit -= len(node.out)
+                held -= len(node.out)
+                node.out = None
+            old.popleft()
+        self.held, self.credit = held, credit if old else 0
 
     # -- search ------------------------------------------------------------
 
@@ -418,10 +493,12 @@ class ProductExplorer:
         resumes at that layer, whose expanded states replay their edges.
         A search that raises an exception may leave states placed under a
         smaller bound, so its caller drops the arity (as ``StreamSession``
-        does) rather than searching it again.
+        does) rather than searching it again; ``drop_components`` also
+        releases the edges it stored.  A search that ends hands its list of
+        the states it stored edges on to ``_retire``.
         """
         by_id = self.by_id
-        created = 0
+        created, held = 0, self.held
         free: dict[_Node, _Node] = {}  # placed prefix -> the free extension that used it
         self.expanded = self.replayed = self.bound_raises = 0
 
@@ -480,8 +557,9 @@ class ProductExplorer:
             for unplaced in layers[shallowest + 1:]:
                 seen.difference_update(unplaced)
                 self.placed -= len(unplaced)
+                self._release(unplaced)
                 for node in unplaced:
-                    node.depth, node.parent, node.value, node.out = -1, None, 0, None
+                    node.depth, node.parent, node.value = -1, None, 0
                     if free.get(node.prefix) is node:
                         del free[node.prefix]
                     else:
@@ -493,6 +571,7 @@ class ProductExplorer:
         # as it skipped nothing, all of them
         max_expanded = depth - 1
         self.skipped = skipped
+        self._retire(found is not None, self.held - held)
         if found is None:
             self.bound = _FAR
             return StepVerdict(0, "unsat", None), created, max_expanded
@@ -607,7 +686,7 @@ class StreamSession:
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = replace(partial, step=self.step)  # with no new component, the same word
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
-                            max_depth, *counters, self.cache.hits - hits,
+                            max_depth, *counters, self.explorer.held, self.cache.hits - hits,
                             self.cache.misses - misses, len(self.explorer.components),
                             verdict)
         self.reports.append(report)

@@ -165,8 +165,12 @@ def test_stream_command_jsonl_records_expansions():
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     # one expansion per sat step, replayed from the step before; the
-    # contradiction searches, the step after it does not
-    assert [(r["expanded"], r["replayed"]) for r in records] == [(1, 0), (1, 1), (1, 1), (4, 4), (0, 0)]
+    # contradiction searches, the step after it does not.  One of its four
+    # expansions folds from the empty product: the prefix it would replay
+    # was stored by the first search and released at the end of the third
+    assert [(r["expanded"], r["replayed"]) for r in records] == [(1, 0), (1, 1), (1, 1), (4, 3), (0, 0)]
+    # the edges the last two searches stored, all released at unsat
+    assert [r["edges_held"] for r in records] == [2, 6, 12, 0, 0]
 
 
 def test_stream_command_jsonl_records_skipped_states_and_bound_raises():
