@@ -156,9 +156,13 @@ def stream_command(
                 "explored_total": report.states_explored_total,
                 "expanded": report.expanded,
                 "replayed": report.replayed,
+                "edges_out": report.edges_out,
                 "skipped": report.skipped,
                 "bound_raises": report.bound_raises,
+                "widest": report.widest,
                 "edges_held": report.edges_held,
+                "complete": report.complete,
+                "resident": report.resident,
                 "memo_hits": report.memo_hits,
                 "memo_misses": report.memo_misses,
                 "components": report.components,

@@ -144,11 +144,15 @@ class StepReport:
     # those, the ones whose fold started from a complete prefix
     expanded: int
     replayed: int
+    edges_out: int  # the successor edges those folds gave the nodes they expanded
     # states the search's walk left unexpanded at its final bound, as their
     # accept distance exceeded what the bound left, and the times the bound rose
     skipped: int
     bound_raises: int
+    widest: int  # the most states the search discovered at one depth; 0 if none ran
     edges_held: int  # edges stored on complete states after the step
+    complete: int  # placed states that hold those edges
+    resident: int  # states placed after the step, the empty product included
     memo_hits: int  # memo cache lookups this step's compile answered from the cache
     memo_misses: int  # and those it had to build
     components: int  # the product's distinct components after the step
@@ -301,15 +305,18 @@ class ProductExplorer:
         self.kept: list[list[_Node]] = [[], []]
         self.old: deque[_Node] = deque()
         self.held = 0  # edges stored on complete states
+        self.complete = 0  # and the placed states that hold them
         self.credit = 0  # edges derived by searches whose release has not caught up
         self.searched = 0  # the arity of the last search that ended
         # no witness of a later search is shorter: the last witness's length,
         # or _FAR once a search found none (components only shrink the language)
         self.bound = 0
         # in the last search: _edges_for calls, those that replayed an
-        # archived prefix, states its last walk left unexpanded and raises
-        # of its bound
-        self.expanded = self.replayed = self.skipped = self.bound_raises = 0
+        # archived prefix, the edges those calls returned, states its last
+        # walk left unexpanded, raises of its bound and the most states it
+        # discovered at one depth
+        self.expanded = self.replayed = self.edges_out = self.skipped = 0
+        self.bound_raises = self.widest = 0
 
     @property
     def nodes(self) -> _Placed:
@@ -388,8 +395,9 @@ class ProductExplorer:
         level whose state is placed becomes that state's ``out``, sorted
         once, and levels of unplaced states are dropped: a placed state's
         edges are derived at most once while they are kept.  Returns
-        ``node``'s own level, now its ``out``; every state it completed goes
-        on ``archived``, the running search's list, and its edges count in
+        ``node``'s own level, now its ``out``, whose edges count in
+        ``edges_out``; every state it completed goes on ``archived``, the
+        running search's list, and counts in ``complete``, its edges in
         ``held``.
         """
         chain = [node]  # node and its prefixes after the archived one, last first
@@ -411,6 +419,8 @@ class ProductExplorer:
                 edges = node.out = tuple(sorted(edges, key=_edge_order))
                 self.archived.append(node)
                 self.held += len(edges)
+                self.complete += 1
+        self.edges_out += len(edges)
         return edges
 
     def _release(self, nodes) -> None:
@@ -419,6 +429,7 @@ class ProductExplorer:
         for node in nodes:
             if node.out is not None:
                 self.held -= len(node.out)
+                self.complete -= 1
                 node.out = None
 
     def _release_all(self) -> None:
@@ -449,7 +460,7 @@ class ProductExplorer:
         self.kept.append(self.archived)
         self.archived = []
         credit = self.credit + derived
-        held = self.held
+        held, complete = self.held, self.complete
         while old:
             node = old[0]
             if node.out is not None:
@@ -457,17 +468,20 @@ class ProductExplorer:
                     break
                 credit -= len(node.out)
                 held -= len(node.out)
+                complete -= 1
                 node.out = None
             old.popleft()
-        self.held, self.credit = held, credit if old else 0
+        self.held, self.complete, self.credit = held, complete, credit if old else 0
 
     # -- search ------------------------------------------------------------
 
     def search(self, state_budget: int) -> tuple[StepVerdict, int, int]:
         """Shortest-first search at the current arity.
 
-        Returns (partial verdict, states created, deepest layer whose edges
-        were walked, archived edges included; -1 if none).  A sat verdict's
+        Returns (partial verdict, states explored, deepest layer whose edges
+        were walked, archived edges included; -1 if none).  The states
+        explored are those this search placed, but for the new root and the
+        first placed extension of each placed prefix.  A sat verdict's
         word is the ``value`` of each placed state on the witness path, and
         its step index is filled in by the caller.  A layer's nodes are
         walked in discovery order, each along its edges least symbol
@@ -497,16 +511,15 @@ class ProductExplorer:
         releases the edges it stored.  A search that ends hands its list of
         the states it stored edges on to ``_retire``.
         """
-        by_id = self.by_id
-        created, held = 0, self.held
-        free: dict[_Node, _Node] = {}  # placed prefix -> the free extension that used it
-        self.expanded = self.replayed = self.bound_raises = 0
+        by_id, held = self.by_id, self.held
+        placed: list[_Node] = []  # the states this search placed, in placement order
+        self.expanded = self.replayed = self.edges_out = self.bound_raises = 0
 
         root = by_id[self.roots[-1]]
-        if root.depth < 0:  # the initial state is free
+        if root.depth < 0:
             root.depth = 0
             self.placed += 1
-            free[root.prefix] = root
+            placed.append(root)
         found = root if root.h == 0 else None
         bound = max(self.bound, root.h)
         seen = {root}  # discovered by this search (an earlier one may have placed them)
@@ -533,14 +546,10 @@ class ProductExplorer:
                         seen.add(child)
                         discovered.append(child)
                         if child.depth < 0:
-                            prefix = child.prefix
-                            if prefix.depth >= 0 and prefix not in free:
-                                free[prefix] = child  # extending a known state is free
-                            else:
-                                created += 1
                             if self.placed >= state_budget:
                                 raise StateBudgetExceeded(state_budget, "product exploration")
                             self.placed += 1
+                            placed.append(child)
                             child.depth, child.parent, child.value = depth + 1, node, value
                         if found is None and child.h == 0:
                             found = child
@@ -553,34 +562,34 @@ class ProductExplorer:
             self.bound_raises += 1
             # only the first search at an arity can raise its bound (a later
             # one starts at its witness's length, or at _FAR after unsat), so
-            # this search placed every state below the shallowest layer
-            for unplaced in layers[shallowest + 1:]:
-                seen.difference_update(unplaced)
-                self.placed -= len(unplaced)
-                self._release(unplaced)
-                for node in unplaced:
-                    node.depth, node.parent, node.value = -1, None, 0
-                    if free.get(node.prefix) is node:
-                        del free[node.prefix]
-                    else:
-                        created -= 1
-            del layers[shallowest + 1:]
+            # this search placed every state below the shallowest layer, and
+            # placed them last
+            mark = len(placed) - sum(map(len, layers[shallowest + 1:]))
+            unplaced = placed[mark:]
+            del placed[mark:], layers[shallowest + 1:]
+            seen.difference_update(unplaced)
+            self.placed -= len(unplaced)
+            self._release(unplaced)
+            for node in unplaced:
+                node.depth, node.parent, node.value = -1, None, 0
             layer, depth = layers[shallowest], shallowest
+        explored = len(placed) - len({node.prefix for node in placed
+                                      if node.prefix.depth >= 0 or node is root})
         # the last walk reached as deep as any earlier one, and expanded a
         # state of its last layer: the one that discovered the witness, or,
         # as it skipped nothing, all of them
         max_expanded = depth - 1
-        self.skipped = skipped
+        self.skipped, self.widest = skipped, max(map(len, layers))
         self._retire(found is not None, self.held - held)
         if found is None:
             self.bound = _FAR
-            return StepVerdict(0, "unsat", None), created, max_expanded
+            return StepVerdict(0, "unsat", None), explored, max_expanded
         word = []
         while found.parent is not None:
             word.append(found.value)
             found = found.parent
         self.bound = len(word)
-        return StepVerdict(0, "sat", tuple(word[::-1]), len(self.tracks)), created, max_expanded
+        return StepVerdict(0, "sat", tuple(word[::-1]), len(self.tracks)), explored, max_expanded
 
 
 class StreamSession:
@@ -647,7 +656,8 @@ class StreamSession:
         only the memo cache keeps what the attempt added to it.  A formula
         too deep for the passes that recurse over it fails as a ``WsError``.
         """
-        kept, registered = len(self.explorer.components), len(self.registry)
+        explorer = self.explorer
+        kept, registered = len(explorer.components), len(self.registry)
         hits, misses = self.cache.hits, self.cache.misses
         previous = self.current_verdict()
         try:
@@ -667,13 +677,12 @@ class StreamSession:
             # after unsat, or with no new component, the verdict stands
             searching = previous.is_sat and len(self.explorer.components) > kept
             if searching:
-                partial, explored, max_depth = self.explorer.search(self.state_budget)
-                explorer = self.explorer
-                counters = (explorer.expanded, explorer.replayed, explorer.skipped,
-                            explorer.bound_raises)
+                partial, explored, max_depth = explorer.search(self.state_budget)
+                counters = (explorer.expanded, explorer.replayed, explorer.edges_out,
+                            explorer.skipped, explorer.bound_raises, explorer.widest)
             else:
                 partial, explored, max_depth = previous, 0, -1
-                counters = (0, 0, 0, 0)
+                counters = (0,) * 6
         except BaseException as exc:
             self.explorer.drop_components(kept)
             self.registry.unregister_after(registered)
@@ -686,9 +695,9 @@ class StreamSession:
         total = explored + (self.reports[-1].states_explored_total if self.reports else 0)
         verdict = replace(partial, step=self.step)  # with no new component, the same word
         report = StepReport(self.step, mode, compile_ns, process_ns, explored, total,
-                            max_depth, *counters, self.explorer.held, self.cache.hits - hits,
-                            self.cache.misses - misses, len(self.explorer.components),
-                            verdict)
+                            max_depth, *counters, explorer.held, explorer.complete,
+                            explorer.placed, self.cache.hits - hits,
+                            self.cache.misses - misses, len(explorer.components), verdict)
         self.reports.append(report)
         return report
 

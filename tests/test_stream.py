@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -1114,6 +1115,51 @@ def test_one_shot_search_replays_the_layers_it_resumes(monkeypatch):
     assert [r.bound_raises for r in reports] == list(range(48))
     assert per_search == [r.expanded * k for k, r in enumerate(reports, start=1)]
     assert [r.expanded for r in reports] == list(range(2, 50))
+
+
+# each & line's new root extends the root of the arity before it, which no
+# search placed
+_FREE_ROOTS = [parse(t) for t in ("x1 < x2 & x2 < x3", "x4 = x3 + 1 & ~(x1 in Y1)", "x2 in Y1")]
+
+_PINNED_PLACEMENTS = {  # per step: (states explored, states placed after it, widest layer)
+    "free-roots": (_FREE_ROOTS, [(3, 5, 1), (4, 10, 1), (0, 15, 1)]),
+    "resumed": (_RESUMED, [(2, 4, 1), (3, 10, 3), (0, 16, 3), (5, 27, 6), (11, 49, 11)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PLACEMENTS))
+def test_explored_states_are_pinned(name):
+    # a placed state counts as explored unless it is the new root or the
+    # first placed extension of a placed prefix; the last push of _RESUMED
+    # unplaces a layer when its bound rises, and what it places again
+    # counts once
+    formulas, expected = _PINNED_PLACEMENTS[name]
+    s = StreamSession()
+    assert [(r.states_explored_step, r.resident, r.widest) for r in map(s.push, formulas)] == expected
+
+
+def test_step_reports_count_what_the_explorer_holds(monkeypatch):
+    # the counters a report keeps in O(1) equal a count over the explorer:
+    # placed states, those holding stored edges, the most placed states at
+    # one depth of the step's arity, and the edges the step's folds returned
+    returned, edges_for = [], ProductExplorer._edges_for
+
+    def counted(explorer, node):
+        out = edges_for(explorer, node)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(ProductExplorer, "_edges_for", counted)
+    for formulas in (_FREE_ROOTS, _RESUMED, _succ_chain(8), family1(4)):
+        s = StreamSession()
+        for f in formulas:
+            returned.clear()
+            report = s.push(f)  # every push here adds a component and searches
+            placed = [node for node in s.explorer.by_id if node.depth >= 0]
+            widths = Counter(node.depth for node in placed if node.arity == report.components)
+            assert (report.resident, report.complete, report.widest, report.edges_out) == (
+                len(placed), sum(node.complete for node in placed), max(widths.values()),
+                sum(returned))
 
 
 _UNTIMED = {"compile_ns": 0, "process_ns": 0, "memo_hits": 0, "memo_misses": 0}
