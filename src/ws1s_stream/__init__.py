@@ -24,6 +24,7 @@ from .automata import (
     language_equiv,
     minimize,
     parse_dump,
+    product,
     project,
 )
 from .bench import BenchConfig, family1, family2, run_bench
@@ -87,6 +88,7 @@ __all__ = [
     "parse",
     "parse_dump",
     "print_formula",
+    "product",
     "project",
     "restriction_automaton",
     "run_bench",

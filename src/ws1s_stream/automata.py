@@ -9,8 +9,21 @@ Every operation that widens or meets cubes (``intersect``, ``cylindrify``,
 as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
 product step ``cube_product`` (which also names each meet's target
 pair, in the order the meets are made) and printed back by
-``mask_cube``.  Code that matches a symbol or cofactors a cube list
-(``Dfa.step``, ``_region_map``, ``project``) keeps the strings.
+``mask_cube``.  Code that matches a symbol or cofactors string cubes
+(``Dfa.step``, ``project``, and ``_region_map``, which ``determinize``
+uses) keeps the strings.
+
+``minimize`` and ``product`` (``minimize(intersect(a, b))`` without the
+product's cubes) work on shared decision diagrams instead, as MONA does
+(Klarlund, Møller and Schwartzbach, "MONA Implementation Secrets",
+2002): each state's transition function is one reduced ordered diagram
+over track positions, hash-consed in a unique table, with target states
+as leaves.  A diagram is built once per state, from mask cubes
+(``_diagrams``) or by a memoized pairwise apply of two operands'
+diagrams (``product``); each round of partition refinement then maps the
+leaves to blocks once per node and compares node ids, and the result's
+cubes are read off the final diagrams' paths in ``_region_map``'s
+normal form.
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -193,6 +206,120 @@ def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
         return [("0" + c, v) for c, v in r0] + [("1" + c, v) for c, v in r1]
 
     return go(edges, 0)
+
+
+# --- shared decision diagrams --------------------------------------------------
+#
+# A diagram node is an int.  A leaf is ``~value`` (negative); an inner
+# node is its id in a unique table, a dict from ``(pos, low, high)`` to
+# id in insertion order, so ids count up from 0, children come before
+# their parents, and ``list(table)[id]`` is the node.  Nodes are reduced
+# (``low != high``) and ordered (positions grow towards the leaves), so
+# within one table a node id names one function from symbols to leaves.
+
+def _node(table: dict, pos: int, low: int, high: int) -> int:
+    if low == high:
+        return low
+    return table.setdefault((pos, low, high), len(table))
+
+
+def _diagrams(table: dict, rows, width: int) -> list[int]:
+    """Each row of ``(care, value, dst)`` mask cubes over ``width``
+    columns, a disjoint cover, as a diagram over ``table`` with leaves
+    ``~dst``.  Cofactoring splits only on columns some cube reads."""
+
+    def go(es, rest: int) -> int:  # rest: the columns not yet split on
+        if len({dst for _, _, dst in es}) == 1:
+            return ~es[0][2]
+        read = 0
+        for care, _, _ in es:
+            read |= care
+        top = (read & rest).bit_length() - 1
+        bit = 1 << top
+        low = go([e for e in es if not e[1] & bit], bit - 1)
+        high = go([e for e in es if e[1] & bit or not e[0] & bit], bit - 1)
+        return _node(table, width - 1 - top, low, high)
+
+    return [go(row, (1 << width) - 1) for row in rows]
+
+
+def _relabel(table: dict, leaf: Sequence[int]) -> tuple[dict, list[int]]:
+    """Every node of ``table`` with each leaf ``~v`` replaced by ``~leaf[v]``,
+    in a new table; returns it and each old node's new node, by old id."""
+    out: dict = {}
+    new: list[int] = []
+    for pos, low, high in table:  # id order: children first
+        low = new[low] if low >= 0 else ~leaf[~low]
+        high = new[high] if high >= 0 else ~leaf[~high]
+        new.append(low if low == high else out.setdefault((pos, low, high), len(out)))
+    return out, new
+
+
+def _covers(table: dict, width: int, roots: Iterable[int]) -> list[list[tuple[str, int]]]:
+    """The canonical cover of each diagram ``roots`` of ``table``, as
+    ``_region_map`` gives it: paths low branch first, a skipped position
+    written X."""
+    nodes = list(table)
+    memo: dict[int, list[tuple[str, int]]] = {}
+
+    def below(node: int, pos: int) -> list[tuple[str, int]]:
+        """Cubes over the positions from ``pos`` on."""
+        if node < 0:
+            return [("X" * (width - pos), ~node)]
+        at, low, high = nodes[node]
+        tail = memo.get(node)
+        if tail is None:
+            tail = memo[node] = ([("0" + c, v) for c, v in below(low, at + 1)]
+                                 + [("1" + c, v) for c, v in below(high, at + 1)])
+        if at == pos:
+            return tail
+        skip = "X" * (at - pos)
+        return [(skip + c, v) for c, v in tail]
+
+    return [below(root, 0) for root in roots]
+
+
+def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
+             accepting: Iterable[int]) -> Dfa:
+    """The unique minimal automaton of the states whose transition
+    functions are the diagrams ``roots`` of ``table``, canonically numbered.
+
+    Moore refinement: each round maps the leaves to their blocks, once per
+    node (``_relabel``), so a state's signature is its block and one node
+    id.  Unreachable states are refined too, then dropped by the numbering
+    walk from the initial block; the dead block, when reachable, gets the
+    last id.
+    """
+    accepting = frozenset(accepting)
+    block = [int(s in accepting) for s in range(len(roots))]
+    while True:
+        relabeled, new = _relabel(table, block)
+        groups: dict[tuple[int, int], int] = {}  # signature -> new block id
+        new_block = [groups.setdefault((b, new[r] if r >= 0 else ~block[~r]), len(groups))
+                     for b, r in zip(block, roots)]
+        split = len(groups) != len(set(block))
+        block = new_block
+        if not split:
+            break
+
+    # no block split in the last round, so each old block has one
+    # signature, its diagram over old ids: renumber those; groups holds
+    # the blocks in id order 0..n-1
+    renamed = {old: b for (old, _), b in groups.items()}
+    covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover)
+                   for cover in _covers(relabeled, len(tracks), (root for _, root in groups)))
+    quotient = Dfa(tracks, len(covers), block[initial],
+                   frozenset(block[s] for s in accepting), covers)
+    # a block's states are all live or all dead: they accept the same words
+    alive = coreachable(quotient)
+
+    # covers are sorted (0 < 1 < X, low branch first), so discovery order is canonical
+    bfs, _ = _explore(quotient.initial, covers.__getitem__)
+    order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
+    renumber = {b: i for i, b in enumerate(order)}
+    delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
+    accepting = frozenset(renumber[b] for b in quotient.accepting if b in renumber)
+    return Dfa(tracks, len(order), renumber[quotient.initial], accepting, delta)
 
 
 # --- automata ----------------------------------------------------------------
@@ -422,42 +549,60 @@ def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
 def minimize(a: Dfa) -> Dfa:
     """Unique minimal total DFA for the language, canonically numbered.
 
-    Partition refinement on block signatures over all states; unreachable
-    ones are refined too, then dropped by the numbering walk from the
-    initial block.  Every cube list in the result is in the canonical
-    disjoint cover form of ``_region_map``, so two minimizations of
-    language-equal automata over the same tracks produce byte-identical
-    dumps.  The dead state, when reachable, gets the last id.  A
-    signature's cover costs time that follows the state's cubes, not
-    2^width: positions its cubes do not read are never split on.
+    Each state's cubes become one decision diagram, built once; partition
+    refinement then compares diagrams by node id (``_minimal``).  Every
+    cube list in the result is in the canonical disjoint cover form of
+    ``_region_map``, so two minimizations of language-equal automata over
+    the same tracks produce byte-identical dumps.  The cost follows the
+    state's cubes, not 2^width: positions its cubes do not read are never
+    split on.
     """
-    block = [int(s in a.accepting) for s in range(a.num_states)]
-    while True:
-        groups: dict[tuple, int] = {}  # signature -> new block id
-        new_block = []
-        for s, edges in enumerate(a.delta):
-            cover = _region_map([(cube, block[dst]) for cube, dst in edges], a.width, union=False)
-            new_block.append(groups.setdefault((block[s], tuple(cover)), len(groups)))
-        split = len(groups) != len(set(block))
-        block = new_block
-        if not split:
-            break
+    table: dict = {}
+    roots = _diagrams(table, mask_rows(a, range(a.width), a.width), a.width)
+    return _minimal(a.tracks, table, roots, a.initial, a.accepting)
 
-    # no block split in the last round, so each old block has one
-    # signature holding its canonical cover over old ids: renumber those;
-    # groups holds the blocks in id order 0..n-1
-    renamed = {old: b for (old, _), b in groups.items()}
-    covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover) for _, cover in groups)
-    # a block's states are all live or all dead: they accept the same words
-    alive = {block[s] for s in coreachable(a)}
 
-    # covers come sorted from _region_map, so discovery order is canonical
-    bfs, _ = _explore(block[a.initial], covers.__getitem__)
-    order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
-    renumber = {b: i for i, b in enumerate(order)}
-    delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
-    accepting = frozenset(renumber[block[s]] for s in a.accepting if block[s] in renumber)
-    return Dfa(a.tracks, len(order), renumber[block[a.initial]], accepting, delta)
+def product(a: Dfa, b: Dfa) -> Dfa:
+    """``minimize(intersect(a, b))``, without building the product's cubes.
+
+    Both operands' states become diagrams over the union tracks; the
+    product state of a pair is the pairwise apply of their diagrams,
+    memoized per node pair, whose leaves are the pairs met, numbered as
+    they are discovered from the initial pair.
+    """
+    tracks = merge_tracks(a.tracks, b.tracks)
+    width = len(tracks)
+    operands: dict = {}
+    a_roots = _diagrams(operands, mask_rows(a, track_columns(a.tracks, tracks), width), width)
+    b_roots = _diagrams(operands, mask_rows(b, track_columns(b.tracks, tracks), width), width)
+    nodes = list(operands)
+    order = [(a.initial, b.initial)]
+    table: dict = {}
+    # (a node, b node) -> product node; a pair of leaves names a product state
+    memo = {(~a.initial, ~b.initial): ~0}
+
+    def meet(u: int, v: int) -> int:
+        key = (u, v)
+        done = memo.get(key)
+        if done is not None:
+            return done
+        if u < 0 and v < 0:
+            done = ~len(order)
+            order.append((~u, ~v))
+        else:
+            pu = nodes[u][0] if u >= 0 else width
+            pv = nodes[v][0] if v >= 0 else width
+            pos = min(pu, pv)
+            _, u0, u1 = nodes[u] if pu == pos else (pos, u, u)
+            _, v0, v1 = nodes[v] if pv == pos else (pos, v, v)
+            done = _node(table, pos, meet(u0, v0), meet(u1, v1))
+        memo[key] = done
+        return done
+
+    roots = [meet(a_roots[pa], b_roots[pb]) for pa, pb in order]  # order grows while walked
+    accepting = (i for i, (pa, pb) in enumerate(order)
+                 if pa in a.accepting and pb in b.accepting)
+    return _minimal(tracks, table, roots, 0, accepting)
 
 
 # --- emptiness and witnesses --------------------------------------------------

@@ -169,12 +169,12 @@ def stream_command(
             }
             if witness is not None:
                 record["witness"] = witness
-            print(json.dumps(record, separators=(",", ":")), file=out)
+            line = json.dumps(record, separators=(",", ":"))
         else:
             line = f"step={report.step} verdict={verdict.status}"
             if witness is not None:
                 line += f" witness={json.dumps(witness, separators=(',', ':'))}"
-            print(line, file=out)
+        out.write(line + "\n")  # one write per record: print writes the newline apart
         out.flush()
     return EXIT_OK
 

@@ -1,15 +1,19 @@
 import random
 import signal
+from dataclasses import replace
 
 import pytest
 
 from formula_gen import all_words, compiled, random_formula
 from ws1s_stream.automata import (
+    Dfa,
     Nfa,
+    _explore,
     _region_map,
     Track,
     accepts,
     complement,
+    coreachable,
     cylindrify,
     determinize,
     dump,
@@ -22,6 +26,7 @@ from ws1s_stream.automata import (
     minimize,
     nfa_accepts,
     parse_dump,
+    product,
     project,
 )
 from ws1s_stream.compiler import (
@@ -100,6 +105,13 @@ def test_intersect_kind_conflict():
     so_track0 = _compile("Y sub Z")  # tracks 0 and 1, both second-order
     with pytest.raises(TrackKindConflict):
         intersect(fo_track0, so_track0)
+
+
+def test_product_kind_conflict():
+    with pytest.raises(TrackKindConflict):
+        product(restriction_automaton(0), _compile("Y sub Z"))
+    with pytest.raises(TrackKindConflict):
+        product(_compile("Y sub Z"), restriction_automaton(1))
 
 
 def test_complement_involution(random_corpus):
@@ -254,6 +266,88 @@ def test_region_map_equals_reference_cover():
                   frozenset(rng.sample(range(4), rng.randint(0, 2))))
                  for _ in range(rng.randrange(6))]
         assert _region_map(cubes, width, union=True) == _reference_cover(cubes, width, True)
+
+
+def _reference_minimize(a):
+    """Moore refinement on canonical covers, every state's cover rebuilt by
+    ``_region_map`` in every round: the minimization that decision diagrams
+    replaced, kept as the reference they must match byte for byte."""
+    block = [int(s in a.accepting) for s in range(a.num_states)]
+    while True:
+        groups = {}
+        new_block = []
+        for s, edges in enumerate(a.delta):
+            cover = _region_map([(cube, block[dst]) for cube, dst in edges], a.width, union=False)
+            new_block.append(groups.setdefault((block[s], tuple(cover)), len(groups)))
+        split = len(groups) != len(set(block))
+        block = new_block
+        if not split:
+            break
+    renamed = {old: b for (old, _), b in groups.items()}
+    covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover) for _, cover in groups)
+    alive = {block[s] for s in coreachable(a)}
+    bfs, _ = _explore(block[a.initial], covers.__getitem__)
+    order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
+    renumber = {b: i for i, b in enumerate(order)}
+    delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
+    accepting = frozenset(renumber[block[s]] for s in a.accepting if block[s] in renumber)
+    return Dfa(a.tracks, len(order), renumber[block[a.initial]], accepting, delta)
+
+
+def _random_dfa(rng, width):
+    n = rng.randint(1, 6)
+    tracks = make_tracks((i, rng.choice(list(Kind))) for i in range(width))
+    edges = {s: _random_partition(rng, width, n) for s in range(n)}
+    accepting = {s for s in range(n) if rng.random() < 0.4}
+    return make_dfa(tracks, n, rng.randrange(n), accepting, edges)
+
+
+def test_minimize_equals_the_reference_refinement():
+    rng = random.Random(11)
+    for _ in range(3000):
+        dfa = _random_dfa(rng, rng.randrange(6))
+        dfa.audit()
+        assert dump(minimize(dfa)) == dump(_reference_minimize(dfa))
+
+
+def _interleaved(a, b):
+    """``a`` and ``b`` moved to disjoint, interleaved tracks."""
+    return (replace(a, tracks=tuple(t._replace(index=2 * t.index) for t in a.tracks)),
+            replace(b, tracks=tuple(t._replace(index=2 * t.index + 1) for t in b.tracks)))
+
+
+def test_product_equals_minimized_intersection():
+    rng = random.Random(12)
+    width0 = [make_dfa((), 1, 0, accept, {0: [("", 0)]}) for accept in ({0}, set())]
+    for _ in range(150):
+        f, g = random_formula(rng), random_formula(rng)
+        registry = TrackRegistry()
+        for v in free_vars(f) + free_vars(g):
+            registry.register(v)
+        a, b = compile_formula(f, registry), compile_formula(g, registry)
+        pairs = [(a, b), (b, a), (a, a), _interleaved(a, b), (a, rng.choice(width0)),
+                 (rng.choice(width0), b)]
+        for left, right in pairs:
+            assert dump(product(left, right)) == dump(minimize(intersect(left, right)))
+    for left in width0:
+        for right in width0:
+            assert dump(product(left, right)) == dump(minimize(intersect(left, right)))
+
+
+def test_product_of_unminimized_operands():
+    # operands with unreachable and equivalent states, on random tracks
+    rng = random.Random(13)
+    for _ in range(500):
+        a, b = _random_dfa(rng, rng.randrange(4)), _random_dfa(rng, rng.randrange(4))
+        shift = rng.randrange(3)
+        b = replace(b, tracks=tuple(t._replace(index=t.index + shift) for t in b.tracks))
+        try:
+            expected = dump(_reference_minimize(intersect(a, b)))
+        except TrackKindConflict:
+            with pytest.raises(TrackKindConflict):
+                product(a, b)
+            continue
+        assert dump(product(a, b)) == expected
 
 
 def test_region_map_rejects_a_list_that_is_not_a_partition():

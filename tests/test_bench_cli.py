@@ -159,6 +159,26 @@ def test_stream_command_jsonl():
     assert records[1]["verdict"] == "unsat"
 
 
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("log_jsonl", [False, True], ids=["text", "jsonl"])
+def test_stream_command_writes_each_record_once(log_jsonl):
+    # a reader on a pipe gets one record per read only if each is one write
+    out = _CountingWriter()
+    lines = "x in Y\ny in Z\n~(x in Y)\n"
+    assert stream_command(io.StringIO(lines), out, io.StringIO(), log_jsonl=log_jsonl) == 0
+    assert len(out.writes) == 3
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)
+
+
 def test_stream_command_jsonl_records_expansions():
     text = "".join(print_formula(f) + "\n" for f in family1(3)) + "~(x1 in Y1)\nx9 in Y9\n"
     code, out, _ = _run_stream(text, log_jsonl=True)

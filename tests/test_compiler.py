@@ -13,7 +13,9 @@ from ws1s_stream.automata import (
     intersect,
     language_equiv,
     minimize,
+    product,
 )
+from ws1s_stream.bench import family1
 from ws1s_stream.compiler import (
     MemoCache,
     TrackRegistry,
@@ -131,7 +133,7 @@ def test_a_repeated_part_is_multiplied_in_once(cache, widths, monkeypatch):
     # a restriction meets a one-track automaton; the product of the two
     # distinct parts is the only meet with a two-track one
     seen = []
-    monkeypatch.setattr(compiler, "intersect", lambda a, b: seen.append(b.width) or intersect(a, b))
+    monkeypatch.setattr(compiler, "product", lambda a, b: seen.append(b.width) or product(a, b))
     f = parse("x in Y & x in Y & y in Z")
     compile_formula(f, _registry_for(f), cache())
     assert seen == widths
@@ -262,6 +264,22 @@ def test_compile_dumps_are_pinned():
         dfa, _ = compiled(random_formula(rng, max_depth=4))
         digest.update(dump(dfa).encode())
     assert digest.hexdigest() == _CORPUS_DUMPS_SHA256
+
+
+# the same lock on a wider corpus, whose last formula, the 8-pair family-1
+# chain compiled as one formula, ends in a 257-state product
+_GOLDEN_DUMPS_SHA256 = "81dc8994913ae5731a97a79991ae2d88f2d7de7ba9934b07b2afec3caeb44dfe"
+
+
+def test_golden_dump_digest():
+    rng = random.Random(2024)
+    formulas = [random_formula(rng) for _ in range(300)]
+    formulas.append(functools.reduce(And, family1(8)))
+    digest = hashlib.sha256()
+    for f in formulas:
+        dfa, _ = compiled(f)
+        digest.update(dump(dfa).encode())
+    assert digest.hexdigest() == _GOLDEN_DUMPS_SHA256
 
 
 def test_word_level_agreement_with_oracle():
