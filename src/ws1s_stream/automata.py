@@ -13,17 +13,18 @@ pair, in the order the meets are made) and printed back by
 (``Dfa.step``, ``project``, and ``_region_map``, which ``determinize``
 uses) keeps the strings.
 
-``minimize`` and ``product`` (``minimize(intersect(a, b))`` without the
-product's cubes) work on shared decision diagrams instead, as MONA does
-(Klarlund, Møller and Schwartzbach, "MONA Implementation Secrets",
-2002): each state's transition function is one reduced ordered diagram
-over track positions, hash-consed in a unique table, with target states
-as leaves.  A diagram is built once per state, from mask cubes
-(``_diagrams``) or by a memoized pairwise apply of two operands'
-diagrams (``product``); each round of partition refinement then maps the
-leaves to blocks once per node and compares node ids, and the result's
-cubes are read off the final diagrams' paths in ``_region_map``'s
-normal form.
+``minimize`` and ``product`` (the minimized intersection of one or more
+automata, without any unminimized product's cubes) work on shared
+decision diagrams instead, as MONA does (Klarlund, Møller and
+Schwartzbach, "MONA Implementation Secrets", 2002): each state's
+transition function is one reduced ordered diagram over track
+positions, hash-consed in a unique table, with target states as leaves.
+A diagram is built once per state, from mask cubes (``_diagrams``) or
+by a memoized k-ary apply of all operands' diagrams that stops at the
+first leaf from which some operand cannot accept (``product``); each
+round of partition refinement then maps the leaves to blocks once per
+node and compares node ids, and the result's cubes are read off the
+final diagrams' paths in ``_region_map``'s normal form.
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -31,7 +32,8 @@ All automata are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -161,40 +163,26 @@ def cube_product(edges: Iterable[tuple[int, int, int]], row: Sequence[tuple[int,
     return out
 
 
-def _region_map(edges: list[tuple[str, object]], width: int, union: bool):
+def _region_map(edges: list[tuple[str, frozenset]], width: int
+                ) -> list[tuple[str, frozenset]]:
     """Canonical disjoint cover of the symbol space from overlapping cubes.
 
     Returns a list of ``(cube, value)`` covering every symbol exactly once,
-    in a normal form that depends only on the symbol-to-value function:
-    recursive cofactoring on track positions, with equal halves merged to X.
-    With ``union`` the values of all matching cubes are unioned (sets);
-    otherwise exactly one cube must match each symbol.
+    each symbol's value the union of the values (sets) of the cubes that
+    match it, in a normal form that depends only on the symbol-to-value
+    function: recursive cofactoring on track positions, with equal halves
+    merged to X.
 
     The one base case is ``pos == width``, a single symbol.  The
-    cofactoring splits only where the result can differ, so its cost
-    follows the cube structure, not 2^width, through two shortcuts on the
-    subspace from ``pos`` on:
-
-    - without ``union``, the cubes left share one value and their sizes add
-      up to the subspace: one all-X cube.  This assumes disjoint cubes, as
-      every ``Dfa`` has (``Dfa.audit`` checks it); any other list falls
-      through to the split, where a missing symbol or a symbol with two
-      values raises ValueError;
-    - no cube left reads bit ``pos``: both halves are the same, so one
-      recursion is made and prefixed with X (a tail that no cube reads
-      is skipped this way, one position at a time).
+    cofactoring splits only where the result can differ: where no cube
+    left reads bit ``pos``, both halves are the same, so one recursion is
+    made and prefixed with X (a tail that no cube reads is skipped this
+    way, one position at a time).
     """
 
-    def go(es: list[tuple[str, object]], pos: int):
+    def go(es: list[tuple[str, frozenset]], pos: int):
         if pos == width:
-            vals = {v for _, v in es}
-            if not union and len(vals) != 1:
-                raise ValueError(f"cube list is not a partition: {es}")
-            return [("", frozenset().union(*vals) if union else vals.pop())]
-        rest = width - pos
-        if (not union and len({v for _, v in es}) == 1
-                and sum(1 << c.count("X", pos) for c, _ in es) == 1 << rest):
-            return [("X" * rest, es[0][1])]  # one value on a disjoint cover
+            return [("", frozenset().union(*(v for _, v in es)))]
         zero = [(c, v) for c, v in es if c[pos] in "0X"]
         one = [(c, v) for c, v in es if c[pos] in "1X"]
         if len(zero) == len(one) == len(es):  # no cube reads bit pos
@@ -539,7 +527,7 @@ def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
 
     def successors(subset: frozenset[int]) -> list[tuple[str, frozenset[int]]]:
         edges = [(cube, dsts) for s in subset for cube, dsts in n.delta[s]]
-        return _region_map(edges, n.width, union=True)  # each value a frozenset
+        return _region_map(edges, n.width)
 
     order, delta = _explore(frozenset({n.initial}), successors, budget)
     accepting = frozenset(i for i, subset in enumerate(order) if subset & n.accepting)
@@ -562,47 +550,65 @@ def minimize(a: Dfa) -> Dfa:
     return _minimal(a.tracks, table, roots, a.initial, a.accepting)
 
 
-def product(a: Dfa, b: Dfa) -> Dfa:
-    """``minimize(intersect(a, b))``, without building the product's cubes.
+def product(*dfas: Dfa) -> Dfa:
+    """The minimal automaton of the intersection of one or more automata,
+    without building the cubes of any unminimized product.
 
-    Both operands' states become diagrams over the union tracks; the
-    product state of a pair is the pairwise apply of their diagrams,
-    memoized per node pair, whose leaves are the pairs met, numbered as
-    they are discovered from the initial pair.
+    Every operand's states become diagrams over the union tracks, in one
+    table, with leaf ``~(s + 1)`` for a state ``s`` that can reach
+    acceptance and ``~0`` for every state that cannot (one outside
+    ``coreachable``).  A product state is a tuple of operand states; its
+    diagram is the k-ary apply of theirs, memoized per tuple of nodes,
+    whose leaves are the tuples met, numbered as they are discovered from
+    the initial tuple.  The apply stops at the first dead leaf: every
+    tuple with a dead coordinate is one dead product state, whose diagram
+    is a leaf to itself, so the tuples that minimization would merge into
+    it are never enumerated.  The result is minimized once.
     """
-    tracks = merge_tracks(a.tracks, b.tracks)
+    tracks = reduce(merge_tracks, (a.tracks for a in dfas))
     width = len(tracks)
     operands: dict = {}
-    a_roots = _diagrams(operands, mask_rows(a, track_columns(a.tracks, tracks), width), width)
-    b_roots = _diagrams(operands, mask_rows(b, track_columns(b.tracks, tracks), width), width)
-    nodes = list(operands)
-    order = [(a.initial, b.initial)]
+    initial = []
+    roots = []  # per operand, each state's diagram
+    for a in dfas:
+        live = coreachable(a)
+        leaf = [s + 1 if s in live else 0 for s in range(a.num_states)]
+        rows = [[(care, value, leaf[dst]) for care, value, dst in row]
+                for row in mask_rows(a, track_columns(a.tracks, tracks), width)]
+        roots.append(_diagrams(operands, rows, width))
+        initial.append(~leaf[a.initial])
+    at, low, high = zip(*operands) if operands else ((), (), ())
+    order: list = []  # each product state's operand states; None for the dead state
     table: dict = {}
-    # (a node, b node) -> product node; a pair of leaves names a product state
-    memo = {(~a.initial, ~b.initial): ~0}
+    memo: dict = {}  # tuple of operand nodes -> product node
 
-    def meet(u: int, v: int) -> int:
-        key = (u, v)
-        done = memo.get(key)
+    def meet(us: tuple) -> int:
+        if ~0 in us:  # a dead leaf: every such tuple is the dead state
+            us = None
+        done = memo.get(us)
         if done is not None:
             return done
-        if u < 0 and v < 0:
+        pos = width
+        if us is not None:
+            for u in us:
+                if u >= 0 and at[u] < pos:
+                    pos = at[u]
+        if pos == width:  # only leaves: a product state
             done = ~len(order)
-            order.append((~u, ~v))
+            order.append(None if us is None else tuple(~u - 1 for u in us))
         else:
-            pu = nodes[u][0] if u >= 0 else width
-            pv = nodes[v][0] if v >= 0 else width
-            pos = min(pu, pv)
-            _, u0, u1 = nodes[u] if pu == pos else (pos, u, u)
-            _, v0, v1 = nodes[v] if pv == pos else (pos, v, v)
-            done = _node(table, pos, meet(u0, v0), meet(u1, v1))
-        memo[key] = done
+            done = _node(table, pos,
+                         meet(tuple(low[u] if u >= 0 and at[u] == pos else u for u in us)),
+                         meet(tuple(high[u] if u >= 0 and at[u] == pos else u for u in us)))
+        memo[us] = done
         return done
 
-    roots = [meet(a_roots[pa], b_roots[pb]) for pa, pb in order]  # order grows while walked
-    accepting = (i for i, (pa, pb) in enumerate(order)
-                 if pa in a.accepting and pb in b.accepting)
-    return _minimal(tracks, table, roots, 0, accepting)
+    meet(tuple(initial))  # product state 0
+    diagrams = [~i if states is None else meet(tuple(map(getitem, roots, states)))
+                for i, states in enumerate(order)]  # order grows while walked
+    accepting = (i for i, states in enumerate(order) if states is not None
+                 and all(s in a.accepting for s, a in zip(states, dfas)))
+    return _minimal(tracks, table, diagrams, 0, accepting)
 
 
 # --- emptiness and witnesses --------------------------------------------------

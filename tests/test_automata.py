@@ -1,6 +1,8 @@
+import itertools
 import random
 import signal
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
@@ -260,24 +262,22 @@ def test_region_map_equals_reference_cover():
     rng = random.Random(6)
     for _ in range(300):
         width = rng.randrange(7)
-        cover = _random_partition(rng, width, rng.randint(1, 3))
-        assert _region_map(cover, width, union=False) == _reference_cover(cover, width, False)
         cubes = [("".join(rng.choice("01XX") for _ in range(width)),
                   frozenset(rng.sample(range(4), rng.randint(0, 2))))
                  for _ in range(rng.randrange(6))]
-        assert _region_map(cubes, width, union=True) == _reference_cover(cubes, width, True)
+        assert _region_map(cubes, width) == _reference_cover(cubes, width, True)
 
 
 def _reference_minimize(a):
     """Moore refinement on canonical covers, every state's cover rebuilt by
-    ``_region_map`` in every round: the minimization that decision diagrams
-    replaced, kept as the reference they must match byte for byte."""
+    ``_reference_cover`` in every round: the minimization that decision
+    diagrams replaced, kept as the reference they must match byte for byte."""
     block = [int(s in a.accepting) for s in range(a.num_states)]
     while True:
         groups = {}
         new_block = []
         for s, edges in enumerate(a.delta):
-            cover = _region_map([(cube, block[dst]) for cube, dst in edges], a.width, union=False)
+            cover = _reference_cover([(cube, block[dst]) for cube, dst in edges], a.width, False)
             new_block.append(groups.setdefault((block[s], tuple(cover)), len(groups)))
         split = len(groups) != len(set(block))
         block = new_block
@@ -350,22 +350,85 @@ def test_product_of_unminimized_operands():
         assert dump(product(a, b)) == expected
 
 
-def test_region_map_rejects_a_list_that_is_not_a_partition():
-    with pytest.raises(ValueError, match="not a partition"):
-        _region_map([("0X", 0)], 2, union=False)  # misses 1X
-    with pytest.raises(ValueError, match="not a partition"):
-        _region_map([("XX", 0), ("X1", 1)], 2, union=False)  # X1 maps to 0 and 1
-    rng = random.Random(7)
+def _pairwise(dfas):
+    """The product of ``dfas`` as a fold of two-operand products."""
+    return reduce(product, dfas[1:], minimize(dfas[0]))
+
+
+def _spread(dfas):
+    """Operand ``j`` of ``k`` moved from track ``i`` to track ``k * i + j``:
+    disjoint tracks, interleaved."""
+    k = len(dfas)
+    return [replace(d, tracks=tuple(t._replace(index=k * t.index + j) for t in d.tracks))
+            for j, d in enumerate(dfas)]
+
+
+def test_k_ary_product_equals_the_pairwise_fold_on_compiled_operands():
+    rng = random.Random(14)
+    width0 = [make_dfa((), 1, 0, accept, {0: [("", 0)]}) for accept in ({0}, set())]
+    for _ in range(120):
+        formulas = [random_formula(rng) for _ in range(rng.randint(1, 5))]
+        registry = TrackRegistry()
+        for f in formulas:
+            for v in free_vars(f):
+                registry.register(v)
+        dfas = [compile_formula(f, registry) for f in formulas]
+        padded = list(dfas)
+        padded.insert(rng.randrange(len(dfas) + 1), rng.choice(width0))
+        for operands in (dfas, dfas[::-1], padded, _spread(dfas)):
+            assert dump(product(*operands)) == dump(_pairwise(operands))
+    for k in range(1, 4):
+        for operands in itertools.product(width0, repeat=k):
+            assert dump(product(*operands)) == dump(_pairwise(operands))
+
+
+def test_k_ary_product_equals_the_pairwise_fold_on_unminimized_operands():
+    # operands with unreachable, equivalent and dead states, on random tracks
+    rng = random.Random(15)
+    for _ in range(300):
+        dfas = []
+        for _ in range(rng.randint(1, 4)):
+            d = _random_dfa(rng, rng.randrange(3))
+            shift = rng.randrange(3)
+            dfas.append(replace(d, tracks=tuple(t._replace(index=t.index + shift)
+                                                for t in d.tracks)))
+        try:
+            expected = dump(_pairwise(dfas))
+        except TrackKindConflict:
+            with pytest.raises(TrackKindConflict):
+                product(*dfas)
+            continue
+        assert dump(product(*dfas)) == expected
+        assert dump(product(*_spread(dfas))) == dump(_pairwise(_spread(dfas)))
+
+
+def test_product_of_one_automaton_is_its_minimization():
+    rng = random.Random(16)
+    for _ in range(500):
+        dfa = _random_dfa(rng, rng.randrange(5))
+        assert dump(product(dfa)) == dump(minimize(dfa))
+
+
+def test_an_empty_operand_gives_the_one_state_empty_automaton():
+    rng = random.Random(17)
     for _ in range(200):
-        width = rng.randrange(7)
-        cover = _random_partition(rng, width, rng.randint(1, 3))
-        missing = list(cover)
-        del missing[rng.randrange(len(missing))]
-        with pytest.raises(ValueError, match="not a partition"):
-            _region_map(missing, width, union=False)
-        symbol = "".join(rng.choice("01") for _ in range(width))
-        with pytest.raises(ValueError, match="not a partition"):
-            _region_map(cover + [(symbol, 3)], width, union=False)
+        dfas = [compiled(random_formula(rng))[0] for _ in range(rng.randint(1, 4))]
+        dfas = _spread(dfas + [replace(_random_dfa(rng, rng.randrange(3)), accepting=frozenset())])
+        rng.shuffle(dfas)
+        result = product(*dfas)
+        width = result.width
+        assert dump(result) == dump(make_dfa(result.tracks, 1, 0, set(), {0: [("X" * width, 0)]}))
+        assert dump(result) == dump(_pairwise(dfas))
+
+
+def test_product_kind_conflict_between_any_two_of_three_operands():
+    first = restriction_automaton(0)  # track 0 first-order
+    second = _compile("Y sub Z")  # tracks 0 and 1 second-order
+    other = restriction_automaton(5)
+    for operands in itertools.permutations([first, second, other]):
+        with pytest.raises(TrackKindConflict):
+            product(*operands)
+    assert product(first, other, first).width == 2
 
 
 def test_minimize_cost_does_not_grow_with_unread_tracks():

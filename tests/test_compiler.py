@@ -5,7 +5,7 @@ import random
 import pytest
 
 from formula_gen import compiled, language_matches_oracle, random_formula
-from ws1s_stream import compiler
+from ws1s_stream import automata, compiler
 from ws1s_stream.automata import (
     accepts,
     dump,
@@ -137,6 +137,26 @@ def test_a_repeated_part_is_multiplied_in_once(cache, widths, monkeypatch):
     f = parse("x in Y & x in Y & y in Z")
     compile_formula(f, _registry_for(f), cache())
     assert seen == widths
+
+
+def test_the_chain_product_stops_at_dead_states(monkeypatch):
+    # each restricted part x_i in Y_i has a waiting, a seen and a dead
+    # state; one product of the 8 parts hands minimization the 2^8 live
+    # tuples and one dead state, the minimal count, where enumerating every
+    # tuple would hand it 3^8 = 6,561
+    registry = _registry_for(*family1(8))
+    parts = [compile_formula(part, registry) for part in family1(8)]
+    assert [part.num_states for part in parts] == [3] * 8
+    handed = []
+    minimal = automata._minimal
+
+    def counted(tracks, table, roots, *rest):
+        handed.append(len(roots))
+        return minimal(tracks, table, roots, *rest)
+
+    monkeypatch.setattr(automata, "_minimal", counted)
+    assert product(*parts).num_states == 257
+    assert handed == [257]
 
 
 def test_memo_cache_is_transparent():
