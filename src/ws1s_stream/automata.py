@@ -9,22 +9,21 @@ Every operation that widens or meets cubes (``intersect``, ``cylindrify``,
 as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
 product step ``cube_product`` (which also names each meet's target
 pair, in the order the meets are made) and printed back by
-``mask_cube``.  Code that matches a symbol or cofactors string cubes
-(``Dfa.step``, ``project``, and ``_region_map``, which ``determinize``
-uses) keeps the strings.
+``mask_cube``.  Code that matches a symbol or edits string cubes
+(``Dfa.step``, ``project``) keeps the strings.
 
-``minimize`` and ``product`` (the minimized intersection of one or more
-automata, without any unminimized product's cubes) work on shared
-decision diagrams instead, as MONA does (Klarlund, Møller and
-Schwartzbach, "MONA Implementation Secrets", 2002): each state's
-transition function is one reduced ordered diagram over track
-positions, hash-consed in a unique table, with target states as leaves.
-A diagram is built once per state, from mask cubes (``_diagrams``) or
-by a memoized k-ary apply of all operands' diagrams that stops at the
-first leaf from which some operand cannot accept (``product``); each
-round of partition refinement then maps the leaves to blocks once per
-node and compares node ids, and the result's cubes are read off the
-final diagrams' paths in ``_region_map``'s normal form.
+``minimize``, ``product`` (the minimized intersection of one or more
+automata, without any unminimized product's cubes) and ``determinize``
+work on shared decision diagrams instead, as MONA does (Klarlund,
+Møller and Schwartzbach, "MONA Implementation Secrets", 2002): each
+state's transition function is one reduced ordered diagram over track
+positions, hash-consed in a unique table, with target states (for
+``determinize``, target subsets) as leaves.  A diagram is built from
+mask cubes (``_diagrams``) or by a memoized k-ary apply of all
+operands' diagrams that stops at the first leaf from which some operand
+cannot accept (``product``); each round of partition refinement then
+maps the leaves to blocks once per node and compares node ids, and
+every result's cubes are read off diagram paths (``_covers``).
 
 All automata are immutable; every operation returns a fresh value.
 """
@@ -116,10 +115,10 @@ def mask_cube(care: int, value: int, width: int) -> str:
     return "".join(b if r == "1" else "X" for b, r in zip(bits, read))
 
 
-def mask_rows(a: Dfa, columns: Iterable[int], width: int
-              ) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+def mask_rows(a: Dfa | Nfa, columns: Iterable[int], width: int) -> tuple[tuple[tuple], ...]:
     """Each state's edges as ``(care, value, dst)`` mask cubes over ``width``
-    columns; ``columns`` gives the column of each of ``a``'s tracks, in order."""
+    columns; ``columns`` gives the column of each of ``a``'s tracks, in order.
+    ``dst`` is as ``a.delta`` has it: a state of a ``Dfa``, a set of an ``Nfa``."""
     bits = [1 << (width - 1 - col) for col in columns]
     rows = []
     for edges in a.delta:
@@ -163,39 +162,6 @@ def cube_product(edges: Iterable[tuple[int, int, int]], row: Sequence[tuple[int,
     return out
 
 
-def _region_map(edges: list[tuple[str, frozenset]], width: int
-                ) -> list[tuple[str, frozenset]]:
-    """Canonical disjoint cover of the symbol space from overlapping cubes.
-
-    Returns a list of ``(cube, value)`` covering every symbol exactly once,
-    each symbol's value the union of the values (sets) of the cubes that
-    match it, in a normal form that depends only on the symbol-to-value
-    function: recursive cofactoring on track positions, with equal halves
-    merged to X.
-
-    The one base case is ``pos == width``, a single symbol.  The
-    cofactoring splits only where the result can differ: where no cube
-    left reads bit ``pos``, both halves are the same, so one recursion is
-    made and prefixed with X (a tail that no cube reads is skipped this
-    way, one position at a time).
-    """
-
-    def go(es: list[tuple[str, frozenset]], pos: int):
-        if pos == width:
-            return [("", frozenset().union(*(v for _, v in es)))]
-        zero = [(c, v) for c, v in es if c[pos] in "0X"]
-        one = [(c, v) for c, v in es if c[pos] in "1X"]
-        if len(zero) == len(one) == len(es):  # no cube reads bit pos
-            return [("X" + c, v) for c, v in go(es, pos + 1)]
-        r0 = go(zero, pos + 1)
-        r1 = go(one, pos + 1)
-        if r0 == r1:
-            return [("X" + c, v) for c, v in r0]
-        return [("0" + c, v) for c, v in r0] + [("1" + c, v) for c, v in r1]
-
-    return go(edges, 0)
-
-
 # --- shared decision diagrams --------------------------------------------------
 #
 # A diagram node is an int.  A leaf is ``~value`` (negative); an inner
@@ -213,22 +179,28 @@ def _node(table: dict, pos: int, low: int, high: int) -> int:
 
 def _diagrams(table: dict, rows, width: int) -> list[int]:
     """Each row of ``(care, value, dst)`` mask cubes over ``width``
-    columns, a disjoint cover, as a diagram over ``table`` with leaves
-    ``~dst``.  Cofactoring splits only on columns some cube reads."""
+    columns as a diagram over ``table`` with leaves ``~dst``.  Cubes that
+    overlap give the ``|`` of their ``dst`` masks; a disjoint cover never
+    overlaps.  Cofactoring splits only on columns some cube reads."""
 
     def go(es, rest: int) -> int:  # rest: the columns not yet split on
         if len({dst for _, _, dst in es}) == 1:
             return ~es[0][2]
-        read = 0
-        for care, _, _ in es:
+        read = joined = 0
+        for care, _, dst in es:
             read |= care
+            joined |= dst
+        if not read & rest:  # every cube left matches every symbol left
+            return ~joined
         top = (read & rest).bit_length() - 1
         bit = 1 << top
         low = go([e for e in es if not e[1] & bit], bit - 1)
         high = go([e for e in es if e[1] & bit or not e[0] & bit], bit - 1)
         return _node(table, width - 1 - top, low, high)
 
-    return [go(row, (1 << width) - 1) for row in rows]
+    roots = [go(row, (1 << width) - 1) for row in rows]
+    del go  # the closure refers to itself: break the cycle
+    return roots
 
 
 def _relabel(table: dict, leaf: Sequence[int]) -> tuple[dict, list[int]]:
@@ -244,9 +216,13 @@ def _relabel(table: dict, leaf: Sequence[int]) -> tuple[dict, list[int]]:
 
 
 def _covers(table: dict, width: int, roots: Iterable[int]) -> list[list[tuple[str, int]]]:
-    """The canonical cover of each diagram ``roots`` of ``table``, as
-    ``_region_map`` gives it: paths low branch first, a skipped position
-    written X."""
+    """The canonical cover of each diagram ``roots`` of ``table``: its
+    paths, low branch first, a skipped position written X.
+
+    A cover matches every symbol exactly once and depends only on the
+    symbol-to-leaf function, so equal functions get byte-identical cubes:
+    it is what cofactoring on track positions in order, with equal halves
+    merged to X, gives."""
     nodes = list(table)
     memo: dict[int, list[tuple[str, int]]] = {}
 
@@ -264,7 +240,9 @@ def _covers(table: dict, width: int, roots: Iterable[int]) -> list[list[tuple[st
         skip = "X" * (at - pos)
         return [(skip + c, v) for c, v in tail]
 
-    return [below(root, 0) for root in roots]
+    covers = [below(root, 0) for root in roots]
+    del below  # the closure refers to itself: break the cycle
+    return covers
 
 
 def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
@@ -523,15 +501,29 @@ def project(a: Dfa, track_index: int) -> Nfa:
 
 
 def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
-    """Subset construction over reachable subsets only."""
+    """Subset construction over reachable subsets only.
 
-    def successors(subset: frozenset[int]) -> list[tuple[str, frozenset[int]]]:
-        edges = [(cube, dsts) for s in subset for cube, dsts in n.delta[s]]
-        return _region_map(edges, n.width)
+    A subset is an int with bit ``s`` set for each member ``s``.  Its
+    members' mask rows, and an all-X cube to the empty subset so a symbol
+    no cube matches goes there, make one diagram whose leaves join the
+    targets of overlapping cubes; its cover gives the edges."""
+    width = n.width
+    rows = [[(care, value, sum(1 << d for d in dsts)) for care, value, dsts in row]
+            for row in mask_rows(n, range(width), width)]
 
-    order, delta = _explore(frozenset({n.initial}), successors, budget)
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & n.accepting)
-    return Dfa(n.tracks, len(order), 0, accepting, delta)
+    def successors(subset: int) -> list[tuple[str, int]]:
+        edges = [(0, 0, 0)]
+        while subset:
+            member = subset & -subset
+            edges += rows[member.bit_length() - 1]
+            subset ^= member
+        table: dict = {}
+        return _covers(table, width, _diagrams(table, [edges], width))[0]
+
+    order, delta = _explore(1 << n.initial, successors, budget)
+    accepting = sum(1 << s for s in n.accepting)
+    return Dfa(n.tracks, len(order), 0,
+               frozenset(i for i, subset in enumerate(order) if subset & accepting), delta)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -539,9 +531,9 @@ def minimize(a: Dfa) -> Dfa:
 
     Each state's cubes become one decision diagram, built once; partition
     refinement then compares diagrams by node id (``_minimal``).  Every
-    cube list in the result is in the canonical disjoint cover form of
-    ``_region_map``, so two minimizations of language-equal automata over
-    the same tracks produce byte-identical dumps.  The cost follows the
+    cube list in the result is a canonical cover (``_covers``), so two
+    minimizations of language-equal automata over the same tracks
+    produce byte-identical dumps.  The cost follows the
     state's cubes, not 2^width: positions its cubes do not read are never
     split on.
     """
@@ -606,6 +598,7 @@ def product(*dfas: Dfa) -> Dfa:
     meet(tuple(initial))  # product state 0
     diagrams = [~i if states is None else meet(tuple(map(getitem, roots, states)))
                 for i, states in enumerate(order)]  # order grows while walked
+    del meet  # the closure refers to itself: break the cycle
     accepting = (i for i, states in enumerate(order) if states is not None
                  and all(s in a.accepting for s, a in zip(states, dfas)))
     return _minimal(tracks, table, diagrams, 0, accepting)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import signal
@@ -10,12 +11,14 @@ from formula_gen import all_words, compiled, random_formula
 from ws1s_stream.automata import (
     Dfa,
     Nfa,
+    _covers,
+    _diagrams,
     _explore,
-    _region_map,
     Track,
     accepts,
     complement,
     coreachable,
+    cube_matches,
     cylindrify,
     determinize,
     dump,
@@ -25,6 +28,7 @@ from ws1s_stream.automata import (
     language_equiv,
     make_dfa,
     make_tracks,
+    mask_rows,
     minimize,
     nfa_accepts,
     parse_dump,
@@ -258,14 +262,76 @@ def _random_partition(rng, width, targets):
     return cover
 
 
-def test_region_map_equals_reference_cover():
+def _joined_cover(cubes, width):
+    """The cover ``determinize`` reads off one diagram of overlapping
+    ``(cube, set)`` edges, its sets as they were."""
+    tracks = make_tracks((i, Kind.SECOND_ORDER) for i in range(width))
+    row, = mask_rows(Nfa(tracks, 1, 0, frozenset(), (tuple(cubes),)), range(width), width)
+    edges = [(care, value, sum(1 << s for s in dsts)) for care, value, dsts in row] + [(0, 0, 0)]
+    table = {}
+    cover, = _covers(table, width, _diagrams(table, [edges], width))
+    return [(cube, frozenset(s for s in range(mask.bit_length()) if mask >> s & 1))
+            for cube, mask in cover]
+
+
+def test_joined_diagram_cover_equals_reference_cover():
     rng = random.Random(6)
     for _ in range(300):
         width = rng.randrange(7)
         cubes = [("".join(rng.choice("01XX") for _ in range(width)),
                   frozenset(rng.sample(range(4), rng.randint(0, 2))))
                  for _ in range(rng.randrange(6))]
-        assert _region_map(cubes, width) == _reference_cover(cubes, width, True)
+        assert _joined_cover(cubes, width) == _reference_cover(cubes, width, True)
+
+
+def _reference_determinize(n):
+    """The subset construction over frozensets, each subset's edges the
+    ``_reference_cover`` of its members' overlapping cubes."""
+
+    def successors(subset):
+        edges = [(cube, dsts) for s in sorted(subset) for cube, dsts in n.delta[s]]
+        return _reference_cover(edges, n.width, True)
+
+    order, delta = _explore(frozenset({n.initial}), successors)
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & n.accepting)
+    return Dfa(n.tracks, len(order), 0, accepting, delta)
+
+
+def _random_nfa(rng, width):
+    """An Nfa whose rows are empty, disjoint covers or random cubes, which
+    may overlap and may leave symbols out; target sets may be empty."""
+    n = rng.randint(1, 5)
+    tracks = make_tracks((i, rng.choice(list(Kind))) for i in range(width))
+
+    def targets():
+        return frozenset(rng.sample(range(n), rng.randint(0, min(n, 3))))
+
+    def row():
+        kind = rng.random()
+        if kind < 0.15:
+            return ()
+        if kind < 0.45:
+            return tuple((cube, targets()) for cube, _ in _random_partition(rng, width, 1))
+        return tuple(("".join(rng.choice("01XX") for _ in range(width)), targets())
+                     for _ in range(rng.randint(1, 4)))
+
+    accepting = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Nfa(tracks, n, rng.randrange(n), accepting, tuple(row() for _ in range(n)))
+
+
+def test_determinize_equals_the_reference_subset_construction():
+    rng = random.Random(18)
+    seen = {"empty": 0, "partial": 0, "overlapping": 0}
+    for _ in range(3000):
+        nfa = _random_nfa(rng, rng.randrange(5))
+        for edges in nfa.delta:
+            hits = [sum(cube_matches(cube, symbol) for cube, _ in edges)
+                    for symbol in itertools.product((0, 1), repeat=nfa.width)]
+            seen["empty"] += not edges
+            seen["partial"] += bool(edges) and 0 in hits
+            seen["overlapping"] += max(hits) > 1
+        assert dump(determinize(nfa)) == dump(_reference_determinize(nfa))
+    assert min(seen.values()) >= 1000, seen
 
 
 def _reference_minimize(a):
@@ -467,6 +533,25 @@ def test_minimize_cost_does_not_grow_with_unread_tracks():
         f"trans 2 X{mid}1 3\n"
         f"trans 3 X{mid}X 3\n"
     )
+
+
+def test_no_garbage_cycles_outlive_a_call():
+    # a recursive closure that still refers to itself when its call returns
+    # keeps its memo and lists alive until the cyclic collector runs
+    texts = [f"x{i} in Y{i}" for i in range(1, 6)]
+    chain, *parts = _compile_shared(" & ".join(texts), *texts)
+    nfa = project(chain, chain.tracks[-1].index)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in (lambda: minimize(chain), lambda: product(*parts),
+                     lambda: determinize(nfa)):
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_find_witness_empty_language(x_in_y):
