@@ -25,13 +25,18 @@ cannot accept (``product``); each round of partition refinement then
 maps the leaves to blocks once per node and compares node ids, and
 every result's cubes are read off diagram paths (``_covers``).
 
+One backward walk, ``accept_distances`` (each state's fewest edges to
+acceptance), serves ``coreachable``, ``project``, ``_minimal`` and the
+stream's search; one forward walk, ``_explore``, numbers the reachable
+states for ``intersect``, ``determinize`` and ``_minimal``.
+
 All automata are immutable; every operation returns a fresh value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -107,7 +112,6 @@ def mask_min_symbol(value: int, width: int) -> Symbol:
     return cube_min_symbol(bin(value | 1 << width)[3:])
 
 
-@lru_cache(maxsize=1 << 12)  # automata reuse few distinct cubes across their states
 def mask_cube(care: int, value: int, width: int) -> str:
     """The ``{0, 1, X}`` string of a mask cube."""
     bits = bin(value | 1 << width)[3:]
@@ -253,8 +257,8 @@ def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
     Moore refinement: each round maps the leaves to their blocks, once per
     node (``_relabel``), so a state's signature is its block and one node
     id.  Unreachable states are refined too, then dropped by the numbering
-    walk from the initial block; the dead block, when reachable, gets the
-    last id.
+    walk from the initial block; the dead block (the one at accept distance
+    ``FAR``), when reachable, gets the last id.
     """
     accepting = frozenset(accepting)
     block = [int(s in accepting) for s in range(len(roots))]
@@ -274,18 +278,16 @@ def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
     renamed = {old: b for (old, _), b in groups.items()}
     covers = tuple(tuple((cube, renamed[dst]) for cube, dst in cover)
                    for cover in _covers(relabeled, len(tracks), (root for _, root in groups)))
-    quotient = Dfa(tracks, len(covers), block[initial],
-                   frozenset(block[s] for s in accepting), covers)
-    # a block's states are all live or all dead: they accept the same words
-    alive = coreachable(quotient)
+    final = frozenset(block[s] for s in accepting)
+    dist = accept_distances(covers, final)
 
     # covers are sorted (0 < 1 < X, low branch first), so discovery order is canonical
-    bfs, _ = _explore(quotient.initial, covers.__getitem__)
-    order = [b for b in bfs if b in alive] + [b for b in bfs if b not in alive]
+    bfs, _ = _explore(block[initial], covers.__getitem__)
+    order = [b for b in bfs if dist[b] < FAR] + [b for b in bfs if dist[b] == FAR]
     renumber = {b: i for i, b in enumerate(order)}
     delta = tuple(tuple((cube, renumber[dst]) for cube, dst in covers[b]) for b in order)
-    accepting = frozenset(renumber[b] for b in quotient.accepting if b in renumber)
-    return Dfa(tracks, len(order), renumber[quotient.initial], accepting, delta)
+    return Dfa(tracks, len(order), renumber[block[initial]],
+               frozenset(renumber[b] for b in final if b in renumber), delta)
 
 
 # --- automata ----------------------------------------------------------------
@@ -386,28 +388,33 @@ def nfa_accepts(n: Nfa, word: Sequence[Symbol]) -> bool:
     return bool(states & n.accepting)
 
 
-def _reaching(start: Iterable[int], links: Sequence[set[int]]) -> set[int]:
-    """``start`` and every state reachable from it along ``links``.
+FAR = 1 << 30  # the accept distance of a state that cannot reach acceptance
 
-    With predecessor sets as ``links`` this is backward reachability.
-    """
-    found = set(start)
-    stack = list(found)
-    while stack:
-        for p in links[stack.pop()]:
-            if p not in found:
-                found.add(p)
-                stack.append(p)
-    return found
+
+def accept_distances(rows: Sequence[Iterable[tuple]], accepting: Iterable[int]) -> list[int]:
+    """Per state, the fewest edges of ``rows`` to an ``accepting`` state, or
+    ``FAR``, by one backward breadth-first search; each edge of ``rows[s]``
+    is a tuple ending with its target (a ``Dfa``'s delta, a cover, mask rows)."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for src, edges in enumerate(rows):
+        for edge in edges:
+            preds[edge[-1]].append(src)
+    dist = [FAR] * len(rows)
+    queue = list(accepting)
+    for state in queue:
+        dist[state] = 0
+    for state in queue:  # grows while it is walked
+        distance = dist[state] + 1
+        for src in preds[state]:
+            if dist[src] == FAR:
+                dist[src] = distance
+                queue.append(src)
+    return dist
 
 
 def coreachable(a: Dfa) -> frozenset[int]:
     """States from which some accepting state can be reached."""
-    preds: list[set[int]] = [set() for _ in range(a.num_states)]
-    for src, edges in enumerate(a.delta):
-        for _, dst in edges:
-            preds[dst].add(src)
-    return frozenset(_reaching(a.accepting, preds))
+    return frozenset(s for s, d in enumerate(accept_distances(a.delta, a.accepting)) if d < FAR)
 
 
 def _explore(start, successors, budget: Optional[int] = None) -> tuple[list, tuple]:
@@ -457,22 +464,17 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     width = len(tracks)
     a_rows = mask_rows(a, track_columns(a.tracks, tracks), width)
     b_rows = mask_rows(b, track_columns(b.tracks, tracks), width)
-    # pairs numbered in discovery order, as _explore numbers states
-    order = [(a.initial, b.initial)]
-    ids = {a.initial << 32 | b.initial: 0}
+    pairs: dict[int, tuple[int, int]] = {}
 
-    def new(da: int, db: int) -> int:
-        order.append((da, db))
-        return len(order) - 1
-
-    delta = []
-    for pa, pb in order:  # grows while it is walked
+    def successors(pair: tuple[int, int]) -> list[tuple[str, tuple[int, int]]]:
         # masks inside, strings at the boundary: Dfa cubes stay strings
-        delta.append(tuple(sorted((mask_cube(care, value, width), target) for care, value, target
-                                  in cube_product(a_rows[pa], b_rows[pb], 0, ids, new))))
+        return [(mask_cube(care, value, width), target) for care, value, target
+                in cube_product(a_rows[pair[0]], b_rows[pair[1]], 0, pairs, lambda p, q: (p, q))]
+
+    order, delta = _explore((a.initial, b.initial), successors)
     accepting = frozenset(i for i, (pa, pb) in enumerate(order)
                           if pa in a.accepting and pb in b.accepting)
-    return Dfa(tracks, len(order), 0, accepting, tuple(delta))
+    return Dfa(tracks, len(order), 0, accepting, delta)
 
 
 def project(a: Dfa, track_index: int) -> Nfa:
@@ -486,18 +488,12 @@ def project(a: Dfa, track_index: int) -> Nfa:
     """
     pos = a.track_position(track_index)
     tracks = tuple(t for t in a.tracks if t.index != track_index)
-    delta = tuple(
-        tuple((cube[:pos] + cube[pos + 1:], frozenset({dst})) for cube, dst in edges)
-        for edges in a.delta
-    )
-    zero_preds: list[set[int]] = [set() for _ in range(a.num_states)]
-    for src, edges in enumerate(delta):
-        for cube, dsts in edges:
-            if "1" not in cube:
-                for dst in dsts:
-                    zero_preds[dst].add(src)
-    accepting = _reaching(a.accepting, zero_preds)
-    return Nfa(tracks, a.num_states, a.initial, frozenset(accepting), delta)
+    erased = [[(cube[:pos] + cube[pos + 1:], dst) for cube, dst in edges] for edges in a.delta]
+    delta = tuple(tuple((cube, frozenset({dst})) for cube, dst in edges) for edges in erased)
+    zeros = [[edge for edge in edges if "1" not in edge[0]] for edges in erased]
+    dist = accept_distances(zeros, a.accepting)
+    accepting = frozenset(s for s, d in enumerate(dist) if d < FAR)
+    return Nfa(tracks, a.num_states, a.initial, accepting, delta)
 
 
 def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:

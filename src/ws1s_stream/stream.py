@@ -12,8 +12,9 @@ first state in which every component accepts.
 
 The search is bounded by the witness length, after Fiedor et al.'s lazy
 WS1S techniques and IDA*'s bound-raising rule.  Each component state
-knows its accept distance, and a product state's ``h``, the largest
-among its components, is a lower bound on its own.  A bound D starts at
+knows its accept distance (``automata.accept_distances``, which also
+marks the dead ones), and a product state's ``h``, the largest among
+its components, is a lower bound on its own.  A bound D starts at
 the last witness's length, since adding components never shortens the
 witness, and a state at depth d is expanded only when ``h <= D - d``.
 Every successor of an expanded state is still discovered, so the
@@ -86,11 +87,13 @@ from typing import Optional, Sequence
 
 from .automata import (
     DEFAULT_DETERMINIZE_BUDGET,
+    FAR,
     Dfa,
     Track,
     TrackSet,
     Witness,
-    coreachable,
+    accept_distances,
+    coreachable,  # not called here, but perfbench's tracer wraps stream.coreachable
     cube_product,
     mask_min_symbol,
     mask_rows,
@@ -204,38 +207,11 @@ class _Node:
         return node
 
 
-_FAR = 1 << 30  # the accept distance of a state that cannot reach acceptance
-
-
-def _accept_distances(rows: Sequence[Sequence[tuple[int, int, int]]],
-                      accepting: frozenset[int]) -> tuple[int, ...]:
-    """Per state, the fewest edges of ``rows`` to an accepting state, or
-    ``_FAR``: a backward breadth-first search from the accepting states."""
-    preds: list[list[int]] = [[] for _ in rows]
-    for src, edges in enumerate(rows):
-        for _, _, dst in edges:
-            preds[dst].append(src)
-    dist = [_FAR] * len(rows)
-    layer = list(accepting)
-    for state in layer:
-        dist[state] = 0
-    distance = 0
-    while layer:
-        distance += 1
-        previous, layer = layer, []
-        for state in previous:
-            for src in preds[state]:
-                if dist[src] == _FAR:
-                    dist[src] = distance
-                    layer.append(src)
-    return tuple(dist)
-
-
 class _Component:
     """A pushed automaton, the number of columns it adds to the union, per
-    state its edges to live states as mask cubes over the union, whose
-    ``width`` columns hold the automaton's tracks at ``columns``, and per
-    state its accept distance.  ``new`` is its ``cube_product`` callback."""
+    state its accept distance (``FAR`` if dead) and its edges to live states
+    as mask cubes over the union, whose ``width`` columns hold the
+    automaton's tracks at ``columns``.  ``new`` is its ``cube_product`` callback."""
 
     __slots__ = ("dfa", "shift", "rows", "dist", "by_id")
 
@@ -243,10 +219,9 @@ class _Component:
                  by_id: list[_Node]):
         self.dfa = dfa
         self.shift = shift
-        alive = coreachable(dfa)
-        self.rows = tuple(tuple(e for e in edges if e[2] in alive)
-                          for edges in mask_rows(dfa, columns, width))
-        self.dist = _accept_distances(self.rows, dfa.accepting)
+        rows = mask_rows(dfa, columns, width)
+        self.dist = dist = accept_distances(rows, dfa.accepting)
+        self.rows = tuple(tuple(e for e in edges if dist[e[2]] < FAR) for edges in rows)
         self.by_id = by_id
 
     def new(self, prefix: int, state: int) -> int:
@@ -309,7 +284,7 @@ class ProductExplorer:
         self.credit = 0  # edges derived by searches whose release has not caught up
         self.searched = 0  # the arity of the last search that ended
         # no witness of a later search is shorter: the last witness's length,
-        # or _FAR once a search found none (components only shrink the language)
+        # or FAR once a search found none (components only shrink the language)
         self.bound = 0
         # in the last search: _edges_for calls, those that replayed an
         # archived prefix, the edges those calls returned, states its last
@@ -490,7 +465,8 @@ class ProductExplorer:
         the first accepting node ends the shortest lex-least witness, read
         back along parent links.  Whole layers are discovered, so counts
         are reproducible.  Every step of it works on ids and prefix links;
-        placing a state sets its depth and counts it against ``state_budget``.
+        placing a state, the new root included, sets its depth and counts it
+        against ``state_budget``.
 
         The walk is bounded.  With bound D, a state at depth d is expanded
         only when its ``h``, a lower bound on its distance to acceptance,
@@ -517,6 +493,8 @@ class ProductExplorer:
 
         root = by_id[self.roots[-1]]
         if root.depth < 0:
+            if self.placed >= state_budget:
+                raise StateBudgetExceeded(state_budget, "product exploration")
             root.depth = 0
             self.placed += 1
             placed.append(root)
@@ -526,7 +504,7 @@ class ProductExplorer:
         layers = [[root]]  # the states discovered per depth, in discovery order
         layer, depth = layers[0], 0
         while True:
-            skipped, shallowest, least = 0, -1, _FAR  # least depth + h among the skipped
+            skipped, shallowest, least = 0, -1, FAR  # least depth + h among the skipped
             while found is None and layer:
                 discovered = []  # the next layer, in discovery order
                 radius = bound - depth
@@ -561,7 +539,7 @@ class ProductExplorer:
             bound = least
             self.bound_raises += 1
             # only the first search at an arity can raise its bound (a later
-            # one starts at its witness's length, or at _FAR after unsat), so
+            # one starts at its witness's length, or at FAR after unsat), so
             # this search placed every state below the shallowest layer, and
             # placed them last
             mark = len(placed) - sum(map(len, layers[shallowest + 1:]))
@@ -582,7 +560,7 @@ class ProductExplorer:
         self.skipped, self.widest = skipped, max(map(len, layers))
         self._retire(found is not None, self.held - held)
         if found is None:
-            self.bound = _FAR
+            self.bound = FAR
             return StepVerdict(0, "unsat", None), explored, max_expanded
         word = []
         while found.parent is not None:

@@ -9,12 +9,14 @@ import pytest
 
 from formula_gen import all_words, compiled, random_formula
 from ws1s_stream.automata import (
+    FAR,
     Dfa,
     Nfa,
     _covers,
     _diagrams,
     _explore,
     Track,
+    accept_distances,
     accepts,
     complement,
     coreachable,
@@ -661,6 +663,39 @@ def test_emptiness_matches_reachability(random_corpus):
 def test_is_empty_agrees_with_the_witness_search(random_corpus):
     for dfa in random_corpus + [complement(d) for d in random_corpus]:
         assert is_empty(dfa) == (find_witness(dfa) is None)
+
+
+def _zero_padded(a, pos):
+    """States from which some word that reads 0 on every track but the one
+    at ``pos`` reaches acceptance, by a forward walk from each state."""
+    found = set()
+    for start in range(a.num_states):
+        seen, stack = {start}, [start]
+        while stack:
+            state = stack.pop()
+            if state in a.accepting:
+                found.add(start)
+                break
+            for cube, dst in a.delta[state]:
+                if dst not in seen and "1" not in cube[:pos] + cube[pos + 1:]:
+                    seen.add(dst)
+                    stack.append(dst)
+    return found
+
+
+def test_accept_distances_agree_with_forward_searches(random_corpus):
+    # find_witness searches forward and shares no code with the backward walk
+    rng = random.Random(41)
+    dfas = [_random_dfa(rng, rng.randrange(5)) for _ in range(1000)] + random_corpus
+    for a in dfas:
+        dist = accept_distances(a.delta, a.accepting)
+        for s in range(a.num_states):
+            witness = find_witness(replace(a, initial=s))
+            assert dist[s] == (FAR if witness is None else len(witness)), (dump(a), s)
+        assert accept_distances(mask_rows(a, range(a.width), a.width), a.accepting) == dist
+        assert coreachable(a) == {s for s, d in enumerate(dist) if d < FAR}
+        for pos, t in enumerate(a.tracks):
+            assert project(a, t.index).accepting == _zero_padded(a, pos), (dump(a), pos)
 
 
 def test_compiled_languages_are_padding_invariant(random_corpus):

@@ -471,6 +471,20 @@ def test_one_budget_caps_the_from_scratch_search():
         from_scratch_check(family1(4), budget=3)
 
 
+def test_the_budget_counts_each_new_root():
+    # every push places a new root, which the budget counts as it counts
+    # the root's successors; the empty product already holds one state
+    s = StreamSession(budget=2)
+    report = s.push(parse("Y1 sub Y1"))
+    assert report.verdict.is_sat and report.resident == 2
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        s.push(parse("Y2 sub Y2"))
+    assert len(s.reports) == len(s.components) == 1
+    assert s.explorer.placed == 2
+    with pytest.raises(StateBudgetExceeded, match="during product exploration"):
+        StreamSession(budget=1).push(parse("Y1 sub Y1"))
+
+
 def test_default_budget_keeps_both_caps():
     s = StreamSession()
     assert (s.state_budget, s.determinize_budget) == (5_000_000, 1_000_000)
