@@ -87,10 +87,6 @@ def _run_mode(mode: str, formulas: Sequence[Formula], budget: int | None) -> lis
     return reports
 
 
-def _ms(ns: int) -> float:
-    return round(ns / 1e6, 3)  # microsecond resolution, reported in ms
-
-
 def run_bench(cfg: BenchConfig) -> list[dict]:
     """Run the configured benchmark; returns the CSV rows (and writes them).
 
@@ -117,18 +113,9 @@ def run_bench(cfg: BenchConfig) -> list[dict]:
             cum_ns = 0
             for r in reports:
                 cum_ns += r.compile_ns + r.process_ns
-                row = {
-                    "family": cfg.family,
-                    "mode": mode,
-                    "step": r.step,
-                    "rep": rep,
-                    "compile_ms": _ms(r.compile_ns),
-                    "process_ms": _ms(r.process_ns),
-                    "cum_total_ms": _ms(cum_ns),
-                    "explored_step": r.states_explored_step,
-                    "explored_total": r.states_explored_total,
-                    "verdict": r.verdict.status,
-                }
+                record = dict(r.record(), family=cfg.family, rep=rep,
+                              cum_total_ms=round(cum_ns / 1e6, 3))
+                row = {key: record[key] for key in CSV_COLUMNS}
                 rows.append(row)
                 per_mode_step.setdefault((mode, r.step), []).append(row)
 

@@ -146,27 +146,7 @@ def stream_command(
         verdict = report.verdict
         witness = session.witness_maps(verdict)
         if log_jsonl:
-            record = {
-                "step": report.step,
-                "mode": report.mode,
-                "verdict": verdict.status,
-                "compile_ms": round(report.compile_ns / 1e6, 3),
-                "process_ms": round(report.process_ns / 1e6, 3),
-                "explored_step": report.states_explored_step,
-                "explored_total": report.states_explored_total,
-                "expanded": report.expanded,
-                "replayed": report.replayed,
-                "edges_out": report.edges_out,
-                "skipped": report.skipped,
-                "bound_raises": report.bound_raises,
-                "widest": report.widest,
-                "edges_held": report.edges_held,
-                "complete": report.complete,
-                "resident": report.resident,
-                "memo_hits": report.memo_hits,
-                "memo_misses": report.memo_misses,
-                "components": report.components,
-            }
+            record = report.record()
             if witness is not None:
                 record["witness"] = witness
             line = json.dumps(record, separators=(",", ":"))

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -135,6 +135,9 @@ class StepVerdict:
 
 @dataclass(frozen=True)
 class StepReport:
+    """What one step answered and what it cost.  ``record()`` turns it into
+    its ``--log jsonl`` record, which the bench CSV reads its columns from."""
+
     step: int
     mode: str
     compile_ns: int
@@ -160,6 +163,28 @@ class StepReport:
     memo_misses: int  # and those it had to build
     components: int  # the product's distinct components after the step
     verdict: StepVerdict
+
+    def record(self) -> dict[str, object]:
+        """The step as a JSON-ready mapping: step, mode, verdict status,
+        compile and process time in ms to the microsecond, the explored
+        counts, then every field from ``expanded`` on but the verdict,
+        under its own name and in field order."""
+        record = {
+            "step": self.step,
+            "mode": self.mode,
+            "verdict": self.verdict.status,
+            "compile_ms": round(self.compile_ns / 1e6, 3),
+            "process_ms": round(self.process_ns / 1e6, 3),
+            "explored_step": self.states_explored_step,
+            "explored_total": self.states_explored_total,
+        }
+        record.update((name, getattr(self, name)) for name in _RECORD_COUNTERS)
+        return record
+
+
+_REPORT_FIELDS = [f.name for f in fields(StepReport)]
+_RECORD_COUNTERS = tuple(name for name in _REPORT_FIELDS[_REPORT_FIELDS.index("expanded"):]
+                         if name != "verdict")
 
 
 class _Node:

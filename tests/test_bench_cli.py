@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
 from ws1s_stream.cli import main, stream_command
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
 from ws1s_stream.oracle import sat_bounded
-from ws1s_stream.stream import FROM_SCRATCH, INCREMENTAL
+from ws1s_stream.stream import FROM_SCRATCH, INCREMENTAL, StepReport, StreamSession
 from ws1s_stream.syntax import And, Kind, VarId, free_vars, parse, print_formula
 
 
@@ -225,6 +226,29 @@ def test_stream_command_jsonl_records_components():
     records = [json.loads(line) for line in out.splitlines()]
     # a line adds the parts of its & chain that the product does not hold yet
     assert [(r["step"], r["components"]) for r in records] == [(1, 2), (2, 2), (3, 3)]
+
+
+def test_stream_command_jsonl_record_shape(monkeypatch):
+    import ws1s_stream.cli as cli
+
+    session = StreamSession()
+    monkeypatch.setattr(cli, "_session", lambda: session)
+    code, out, _ = _run_stream("x in Y\nx in Y\n~(x in Y)\n", log_jsonl=True)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    # the report's fields from expanded on, in declaration order, the verdict aside
+    names = [f.name for f in fields(StepReport)]
+    counters = [name for name in names[names.index("expanded"):] if name != "verdict"]
+    assert counters[-1] == "components"
+    leading = ["step", "mode", "verdict", "compile_ms", "process_ms",
+               "explored_step", "explored_total"]
+    # a sat step, the same line again, then the contradiction
+    assert [r["verdict"] for r in records] == ["sat", "sat", "unsat"]
+    for record, report in zip(records, session.reports, strict=True):
+        witness = ["witness"] if report.verdict.is_sat else []
+        assert list(record) == leading + counters + witness
+        assert record["compile_ms"] == round(report.compile_ns / 1e6, 3)
+        assert record["process_ms"] == round(report.process_ns / 1e6, 3)
 
 
 def test_stream_command_growing_witnesses():
