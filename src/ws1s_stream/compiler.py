@@ -182,66 +182,55 @@ def restriction_automaton(track: int) -> Dfa:
     })
 
 
-def _constant(tracks, accept: bool) -> Dfa:
-    """One state that accepts every word, or none."""
-    return make_dfa(tracks, 1, 0, {0} if accept else set(), {0: [("X" * len(tracks), 0)]})
+# Per atom type, over the tracks of its (first, second) operands in written
+# order: the accepting states, and each state's cubes with their targets;
+# state 0 is initial.
+_ATOMS = {
+    # x in Y, and Y sub Z: whenever the first bit is set, the second is too
+    In: ({0}, [[("0X", 0), ("11", 0), ("10", 1)], [("XX", 1)]]),
+    # x < y: the x bit, then the y bit on a later symbol
+    Less: ({2}, [[("00", 0), ("10", 1), ("X1", 3)], [("X0", 1), ("X1", 2)],
+                 [("XX", 2)], [("XX", 3)]]),
+    # x = y + 1: the y bit, then the x bit on the very next symbol
+    Succ: ({2}, [[("00", 0), ("01", 1), ("1X", 3)], [("10", 2), ("0X", 3), ("11", 3)],
+                 [("00", 2), ("1X", 3), ("01", 3)], [("XX", 3)]]),
+    # x = y: both bits on one symbol
+    EqFo: ({1}, [[("00", 0), ("11", 1), ("10", 2), ("01", 2)],
+                 [("00", 1), ("1X", 2), ("01", 2)], [("XX", 2)]]),
+}
+_ATOMS[Sub] = _ATOMS[In]
+
+
+def _atom_tracks(atom, env: dict[str, int]) -> tuple[TrackSet, tuple[int, int]]:
+    """The tracks of an atom's operands in index order, and each operand's
+    rank among them; operands on one track share it, with the first's kind."""
+    a, b = operands(atom)
+    for v in (a, b):
+        if v.name not in env:
+            raise UnboundTrack(f"no track bound for {v.name}")
+    first, second = Track(env[a.name], a.kind), Track(env[b.name], b.kind)
+    ranks = (int(first.index > second.index), int(second.index > first.index))
+    return (first,) if first.index == second.index else tuple(sorted((first, second))), ranks
 
 
 def compile_atom(atom, env: dict[str, int]) -> Dfa:
-    """Unrestricted two-track automaton for one atom.
+    """Unrestricted two-track automaton for one atom; a formula that is
+    not an atom raises ``KindError``.
 
     First-order restrictions are conjoined by the caller, not here, so
     e.g. the In automaton accepts every word in which no position sets
     the x bit without the Y bit (vacuously including the empty word).
     """
+    if type(atom) not in _ATOMS:
+        raise KindError(f"not an atom: {atom!r}")
     validate_kinds(atom)
-    a, b = operands(atom)
-    for v in (a, b):
-        if v.name not in env:
-            raise UnboundTrack(f"no track bound for {v.name}")
-    ta, tb = env[a.name], env[b.name]
-
-    if ta == tb:
-        tracks = make_tracks([(ta, a.kind)])
+    tracks, ranks = _atom_tracks(atom, env)
+    accepting, rows = _ATOMS[type(atom)]
+    if len(tracks) == 1:
         # x = x and Y sub Y always hold, x < x and x = x + 1 never do
-        return _constant(tracks, isinstance(atom, (EqFo, Sub)))
-
-    track_list = sorted([(ta, a.kind), (tb, b.kind)])
-    tracks = make_tracks(track_list)
-    pos_a = 0 if track_list[0][0] == ta else 1
-
-    def cube(bit_a: str, bit_b: str) -> str:
-        return bit_a + bit_b if pos_a == 0 else bit_b + bit_a
-
-    if isinstance(atom, (In, Sub)):
-        # whenever the first variable's bit is set, the second's must be too
-        return make_dfa(tracks, 2, 0, {0}, {
-            0: [(cube("0", "X"), 0), (cube("1", "1"), 0), (cube("1", "0"), 1)],
-            1: [("XX", 1)],
-        })
-    if isinstance(atom, Less):
-        return make_dfa(tracks, 4, 0, {2}, {
-            0: [(cube("0", "0"), 0), (cube("1", "0"), 1), (cube("X", "1"), 3)],
-            1: [(cube("X", "0"), 1), (cube("X", "1"), 2)],
-            2: [("XX", 2)],
-            3: [("XX", 3)],
-        })
-    if isinstance(atom, Succ):
-        # x = y + 1: the y bit, then the x bit on the very next symbol
-        return make_dfa(tracks, 4, 0, {2}, {
-            0: [(cube("0", "0"), 0), (cube("0", "1"), 1), (cube("1", "X"), 3)],
-            1: [(cube("1", "0"), 2), (cube("0", "X"), 3), (cube("1", "1"), 3)],
-            2: [(cube("0", "0"), 2), (cube("1", "X"), 3), (cube("0", "1"), 3)],
-            3: [("XX", 3)],
-        })
-    if isinstance(atom, EqFo):
-        return make_dfa(tracks, 3, 0, {1}, {
-            0: [(cube("0", "0"), 0), (cube("1", "1"), 1), (cube("1", "0"), 2),
-                (cube("0", "1"), 2)],
-            1: [(cube("0", "0"), 1), (cube("1", "X"), 2), (cube("0", "1"), 2)],
-            2: [("XX", 2)],
-        })
-    raise KindError(f"not an atom: {atom!r}")
+        accepting, rows = {0} if isinstance(atom, (EqFo, Sub)) else (), [[("X", 0)]]
+    rows = [[(cube[::-1] if ranks[0] else cube, t) for cube, t in row] for row in rows]
+    return make_dfa(tracks, len(rows), 0, accepting, dict(enumerate(rows)))
 
 
 # --- the compiler ------------------------------------------------------------
@@ -321,15 +310,11 @@ def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
     """Shape key and minimal automaton of a normalized formula, bottom-up;
     every case, negation too, ends in ``minimize``'s canonical form."""
     match f:
-        case In() | Less() | Succ() | EqFo() | Sub():
-            a, b = operands(f)
-            ta, tb = env[a.name], env[b.name]
-            first, second = Track(ta, a.kind), Track(tb, b.kind)
-            # an atom's type fixes its operands' kinds, so the key names
-            # none; a track both share gets a's kind, as in compile_atom
-            tracks = (first,) if ta == tb else (first, second) if ta < tb else (second, first)
-            return _memoized(cache, f"{type(f).__name__}({int(ta > tb)},{int(tb > ta)})",
-                             tracks, lambda: minimize(compile_atom(f, env)))
+        case _ if type(f) in _ATOMS:
+            tracks, (ra, rb) = _atom_tracks(f, env)
+            # an atom's type fixes its operands' kinds, so the key names none
+            return _memoized(cache, f"{type(f).__name__}({ra},{rb})", tracks,
+                             lambda: minimize(compile_atom(f, env)))
         case Not(body):
             key, inner = _fold(body, env, cache, budget)
             return _memoized(cache, f"~{key}", inner.tracks,

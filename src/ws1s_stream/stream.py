@@ -460,18 +460,11 @@ class ProductExplorer:
         self.kept.append(self.archived)
         self.archived = []
         credit = self.credit + derived
-        held, complete = self.held, self.complete
-        while old:
-            node = old[0]
-            if node.out is not None:
-                if len(node.out) > credit:
-                    break
-                credit -= len(node.out)
-                held -= len(node.out)
-                complete -= 1
-                node.out = None
-            old.popleft()
-        self.held, self.complete, self.credit = held, complete, credit if old else 0
+        while old and len(old[0].out or ()) <= credit:
+            node = old.popleft()
+            credit -= len(node.out or ())
+            self._release((node,))
+        self.credit = credit if old else 0
 
     # -- search ------------------------------------------------------------
 

@@ -731,7 +731,12 @@ _HEADER = "dfa tracks=0:2 states=1 initial=0\n"
     _HEADER + "accepting 0\ntrans 0 X 0\ntrans 5 X 0\n",
     _HEADER + "accepting 0\ntrans 0 X 0\ntrans -1 X 0\n",
     _HEADER + "accepting 0\ntrans 0 0 0\ntrans 0 2 0\n",
-], ids=["empty", "no-states", "rejecting", "foo", "src-5", "src-minus-1", "cube-2"])
+    _HEADER + "accepting 0\ntrans 0 0 0\n",
+    _HEADER.replace("initial=0", "initial=3") + "accepting 0\ntrans 0 X 0\n",
+    _HEADER + "accepting 7\ntrans 0 X 0\n",
+    _HEADER + "accepting 0\ntrans 0 X 5\n",
+], ids=["empty", "no-states", "rejecting", "foo", "src-5", "src-minus-1", "cube-2",
+        "missing-cubes", "initial-3", "accepting-7", "dst-5"])
 def test_parse_dump_rejects_malformed_dumps(text):
     with pytest.raises(ValueError):
         parse_dump(text)

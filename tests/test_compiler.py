@@ -23,7 +23,7 @@ from ws1s_stream.compiler import (
     compile_formula,
     restriction_automaton,
 )
-from ws1s_stream.errors import KindConflict, UnboundTrack
+from ws1s_stream.errors import KindConflict, KindError, UnboundTrack
 from ws1s_stream.oracle import sat_bounded
 from ws1s_stream.syntax import And, In, Kind, Not, VarId, free_vars, parse
 
@@ -69,6 +69,12 @@ def test_compile_atom_membership_accepts_empty_word():
     registry = _registry_for(f)
     env = {v.name: registry.track_of(v) for v in free_vars(f)}
     assert accepts(compile_atom(f, env), [])
+
+
+@pytest.mark.parametrize("text", ["~(x in Y)", "x in Y & y in Y"])
+def test_compile_atom_rejects_non_atoms(text):
+    with pytest.raises(KindError, match="not an atom"):
+        compile_atom(parse(text), {"x": 0, "y": 1, "Y": 2})
 
 
 def test_less_with_restrictions_needs_two_positions():

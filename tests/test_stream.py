@@ -308,6 +308,7 @@ def test_session_stats_identities():
     assert stats.first_compile_plus_process_ns == (
         s.reports[0].compile_ns + sum(r.process_ns for r in s.reports))
     assert stats.explored_total == s.reports[-1].states_explored_total
+    assert stats.verdicts == tuple(s.verdicts)
 
     _, scratch_reports = from_scratch_check(formulas)
     scratch_stats = session_stats(scratch_reports)

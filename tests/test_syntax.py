@@ -45,6 +45,16 @@ def test_parse_error_position():
     assert exc.value.col == 5
 
 
+@pytest.mark.parametrize("text,line,col", [
+    ("x in Y &\n  ~", 2, 4),
+    ("x in Y &\n\n   Z sub", 3, 9),
+])
+def test_parse_error_position_after_newline(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("text,expected", [
     ("x < y", Less(x, y)),
     ("x = y + 1", Succ(x, y)),
