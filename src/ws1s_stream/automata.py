@@ -673,6 +673,8 @@ def parse_dump(text: str) -> Dfa:
     else:
         tracks = ()
     num_states = int(fields["states"])
+    if not 1 <= num_states <= len(lines) - 2:  # every state of a total automaton has a cube
+        raise ValueError(f"a dump of {len(lines) - 2} transitions cannot have {num_states} states")
     initial = int(fields["initial"])
     accepting = frozenset(int(s) for s in lines[1][1:])
     edges: dict[int, list[tuple[str, int]]] = {}

@@ -108,7 +108,7 @@ def cmd_compile(args) -> int:
     session = _session()
     for v in free_vars(formula):
         session.registry.register(v)
-    dfa = compile_formula(formula, session.registry, None if args.no_memo else session.cache,
+    dfa = compile_formula(formula, session.registry, session.cache,
                           determinize_budget=session.determinize_budget)
     text = dump(dfa)
     if args.dump_automaton:
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile one formula to its automaton")
     p.add_argument("formula")
     p.add_argument("--dump-automaton", metavar="PATH")
-    p.add_argument("--no-memo", action="store_true")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("stream", help="read conjuncts line by line, emit verdicts")
@@ -246,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _state_budget()  # a bad value fails every subcommand, those without a budget too
         return args.func(args)
     except WsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,21 +13,15 @@ variables, and all of them are multiplied in one call to ``product``,
 the minimal automaton of the intersection, built on shared decision
 diagrams by one k-ary apply that stops at dead states, without the
 cubes of any unminimized product.  Restricting only the whole chain
-would leave the product unrestricted over its full width.  The
-one-shot run of the wide-conjuncts benchmark (14 lines, seed 3, Python
-3.11 on 2 vCPUs) takes about 0.027 s, against 0.041 s when the parts
-were multiplied one pair at a time and 0.08 s with
-``minimize(intersect(a, b))``; compiling the 10-pair family-1 chain
-takes about 1.1 s, against 1.9 s one pair at a time (timed back to
-back; 1.5 s against 5.9 s with ``minimize(intersect(a, b))`` when timed
-before).  Where every part shares the same first-order variables, the
-per-part restrictions repeat: 400 random chains of 2-4 small formulas
-over two first-order names take about 1.2 s part by part and 1.1 s
-whole (medians of five runs).  Restricting each first-order track once
-per chain instead (unrestricted parts, and one restriction per track in
-the chain's one product) measured slower on the wide-conjuncts
-one-shot, 0.041 s against 0.028 s, so every part keeps its own
-restrictions.
+would leave the product unrestricted over its full width.  Where every
+part shares the same first-order variables, the per-part restrictions
+repeat: 400 random chains of 2-4 small formulas over two first-order
+names take about 1.2 s part by part and 1.1 s whole (medians of five
+runs).  Restricting each first-order track once per chain instead
+(unrestricted parts, and one restriction per track in the chain's one
+product) measured slower on the one-shot run of the wide-conjuncts
+benchmark (14 lines, seed 3, Python 3.11 on 2 vCPUs), 0.041 s against
+0.028 s, so every part keeps its own restrictions.
 
 Memoization is keyed on a node's shape: the normalized formula with
 each of the node's tracks named by its rank among them.  A bound
@@ -40,7 +34,8 @@ is returned with the caller's tracks.  Keys are built bottom-up from
 the children's keys, an ``And`` adding which union ranks each operand
 has.  A key names each child by a short name the cache gives that
 child's key, so a chain of n nodes keeps O(n) key characters, not
-O(n^2).  Without a cache no key is built.
+O(n^2).  A compile given no cache uses a fresh one of its own, so a
+shape repeated within its formula is built once there too.
 """
 
 from __future__ import annotations
@@ -139,35 +134,34 @@ class MemoCache:
     shape: its tracks are named by rank, not by index or variable name,
     so conjuncts of one shape over different variables share one entry,
     and sessions with different registries may share one cache soundly.
-    An entry keeps the tracks of the compile that built it; the compiler
+    An entry keeps the tracks of the compile that built it; ``lookup``
     relabels a hit with the caller's.  A cache instance is not
     synchronized: sharing it between concurrently running sessions needs
     an external lock.
     """
 
     def __init__(self):
-        self._table: dict[str, Dfa] = {}
-        self._names: dict[str, str] = {}  # key -> the short name parents' keys use
+        self._table: dict[str, tuple[str, Dfa]] = {}  # key -> (short name, automaton)
         self.hits = 0
         self.misses = 0
 
-    def name(self, key: str) -> str:
-        """A short name for ``key``, the same for equal keys in this cache."""
-        name = self._names.get(key)
-        if name is None:
-            name = self._names[key] = f"#{len(self._names)}"
-        return name
+    def lookup(self, key: str, tracks: TrackSet, build) -> tuple[str, Dfa]:
+        """The short name that parents' keys use for ``key``, the same for
+        equal keys in this cache, and its automaton over ``tracks``: from
+        the cache, or else from ``build()``, which is then stored.
 
-    def get(self, key: str) -> Dfa | None:
-        hit = self._table.get(key)
-        if hit is None:
+        A hit is the automaton of a node of the same shape, whose tracks
+        have the same ranks and kinds; its cubes and states are already
+        right, so only the track labels change.
+        """
+        entry = self._table.get(key)
+        if entry is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return hit
-
-    def put(self, key: str, value: Dfa) -> None:
-        self._table[key] = value
+            entry = self._table[key] = (f"#{len(self._table)}", build())
+            return entry
+        self.hits += 1
+        name, dfa = entry
+        return name, dfa if dfa.tracks == tracks else replace(dfa, tracks=tracks)
 
 
 # --- base automata -----------------------------------------------------------
@@ -248,8 +242,11 @@ def compile_formula(
     ``f`` is emptiness of the result; a shortest accepted word decodes to
     a smallest model.  A top-level ``&`` chain is the product of its
     distinct restricted parts, in text order; minimal automata are
-    canonical, so it is the automaton of the chain built whole.
+    canonical, so it is the automaton of the chain built whole.  Without
+    ``cache``, the compile looks its shapes up in a fresh cache of its own.
     """
+    if cache is None:
+        cache = MemoCache()
     f = normalize(f)
     validate_kinds(f)
     env = {v.name: registry.track_of(v) for v in free_vars(f)}
@@ -284,26 +281,7 @@ def _restricted(f: Formula, env: dict[str, int], cache, budget) -> Dfa:
                         if track.kind is Kind.FIRST_ORDER]
         return product(body, *restrictions) if restrictions else body
 
-    return _memoized(cache, "!" + key, body.tracks, restrict)[1]
-
-
-def _memoized(cache: MemoCache | None, key: str, tracks: TrackSet, build) -> tuple[str, Dfa]:
-    """The cache's name for ``key`` and its automaton over ``tracks``, from
-    the cache or else from ``build()``; without a cache, "" and ``build()``.
-
-    A hit is the automaton of a node of the same shape, whose tracks
-    have the same ranks and kinds; its cubes and states are already
-    right, so only the track labels change.
-    """
-    if cache is None:
-        return "", build()
-    result = cache.get(key)
-    if result is None:
-        result = build()
-        cache.put(key, result)
-    elif result.tracks != tracks:
-        result = replace(result, tracks=tracks)
-    return cache.name(key), result
+    return cache.lookup("!" + key, body.tracks, restrict)[1]
 
 
 def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
@@ -313,12 +291,12 @@ def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
         case _ if type(f) in _ATOMS:
             tracks, (ra, rb) = _atom_tracks(f, env)
             # an atom's type fixes its operands' kinds, so the key names none
-            return _memoized(cache, f"{type(f).__name__}({ra},{rb})", tracks,
-                             lambda: minimize(compile_atom(f, env)))
+            return cache.lookup(f"{type(f).__name__}({ra},{rb})", tracks,
+                                lambda: minimize(compile_atom(f, env)))
         case Not(body):
             key, inner = _fold(body, env, cache, budget)
-            return _memoized(cache, f"~{key}", inner.tracks,
-                             lambda: minimize(complement(inner)))
+            return cache.lookup(f"~{key}", inner.tracks,
+                                lambda: minimize(complement(inner)))
         case And(left, right):
             lkey, ldfa = _fold(left, env, cache, budget)
             rkey, rdfa = _fold(right, env, cache, budget)
@@ -329,16 +307,16 @@ def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
                 side[t] = "b" if t in side else "r"
             tracks = tuple(sorted(side, key=lambda t: t.index))  # a kind clash raises in product
             sides = "".join(map(side.__getitem__, tracks))
-            return _memoized(cache, f"&{sides}({lkey},{rkey})", tracks,
-                             lambda: product(ldfa, rdfa))
+            return cache.lookup(f"&{sides}({lkey},{rkey})", tracks,
+                                lambda: product(ldfa, rdfa))
         case Exists(var, body):
             # one past every track in scope: the bound variable ranks last
             track = 1 + max(env.values(), default=-1)
             key, inner = _fold(body, {**env, var.name: track}, cache, budget)
             if not inner.tracks or inner.tracks[-1].index != track:
                 return key, inner  # variable does not occur; positions always exist
-            return _memoized(cache, f"ex{var.kind.value}({key})", inner.tracks[:-1],
-                             lambda: _project_out(inner, var.kind, track, budget))
+            return cache.lookup(f"ex{var.kind.value}({key})", inner.tracks[:-1],
+                                lambda: _project_out(inner, var.kind, track, budget))
     raise TypeError(f"normalized formulas cannot contain {type(f).__name__}")
 
 

@@ -23,10 +23,6 @@ class ParseError(WsError):
         super().__init__(f"{line}:{col}: {detail}")
 
 
-class UnboundVariableError(WsError):
-    """A free variable occurred while the parser was told to forbid them."""
-
-
 class KindError(WsError):
     """A first-order variable was used in a second-order position or vice versa."""
 

@@ -23,7 +23,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import KindError, ParseError, UnboundVariableError
+from .errors import KindError, ParseError
 
 
 class Kind(enum.Enum):
@@ -229,10 +229,9 @@ def _tokenize(text: str) -> list[_Token]:
 # --- parser ----------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, allow_free: bool):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.allow_free = allow_free
         self.scope: dict[str, VarId] = {}   # binder-introduced, innermost wins
         self.free_seen: dict[str, VarId] = {}
         self.binder_names: set[str] = set()
@@ -331,8 +330,6 @@ class _Parser:
         if name in self.binder_names:
             raise ParseError(tok.line, tok.col,
                              f"a variable in scope ({name!r} is bound elsewhere)", name)
-        if not self.allow_free:
-            raise UnboundVariableError(f"{tok.line}:{tok.col}: free variable {name!r}")
         var = self.free_seen.get(name)
         if var is None:
             var = var_from_name(name)
@@ -372,9 +369,9 @@ class _Parser:
         return node
 
 
-def parse(text: str, *, allow_free: bool = True) -> Formula:
+def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST; positions in errors are 1-based."""
-    return _Parser(text, allow_free).parse()
+    return _Parser(text).parse()
 
 
 # --- printing --------------------------------------------------------------

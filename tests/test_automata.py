@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import signal
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -742,10 +743,24 @@ def test_parse_dump_rejects_malformed_dumps(text):
         parse_dump(text)
 
 
+def test_parse_dump_checks_the_state_count_before_building_states():
+    # a header may claim more states than its dump gives transitions, and
+    # the state table is not built for them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse_dump("dfa tracks= states=100000 initial=0\naccepting\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_zero_track_automata():
     dfa = _compile("ex2 Y: ex1 x: x in Y")
     assert dfa.width == 0
     dfa.audit()
+    assert parse_dump(dump(dfa)) == dfa
     witness = find_witness(dfa)
     assert witness is not None
     assert accepts(dfa, witness)

@@ -375,7 +375,6 @@ def test_cli_compile_dump(tmp_path, capsys):
     assert "states=3" in summary
     dfa = parse_dump(path.read_text())
     assert dfa.num_states == 3
-    assert main(["compile", "x in Y", "--no-memo"]) == 0
 
 
 # language-equal formulas whose normalized top node is a negation, with no
@@ -411,16 +410,11 @@ _TWO_SHAPES = "(ex2 W: x1 in W & ~(x2 in W)) & (ex2 V: x3 in V & ~(x4 in V))"
 
 
 @pytest.mark.parametrize("budget", range(1, 9))
-def test_cli_compile_memo_hits_keep_the_budget_exit(budget, monkeypatch, capsys):
+def test_cli_compile_memo_hits_keep_the_budget_exit(budget, monkeypatch):
     # the second conjunct is a memo hit that skips its determinization;
     # it would build as many subsets as the first, so the exit is the same
     monkeypatch.setenv("WS1S_STATE_BUDGET", str(budget))
-    runs = []
-    for flags in ([], ["--no-memo"]):
-        code = main(["compile", _TWO_SHAPES, *flags])
-        runs.append((code, *capsys.readouterr()))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == (3 if budget <= 3 else 0)
+    assert main(["compile", _TWO_SHAPES]) == (3 if budget <= 3 else 0)
 
 
 def test_second_conjunct_of_one_shape_is_served_from_the_cache():
@@ -510,6 +504,15 @@ def test_cli_bad_state_budget_env_exits_2(value, monkeypatch, capsys, tmp_path):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: WS1S_STATE_BUDGET") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_cli_bad_state_budget_env_fails_the_oracle_too(value, monkeypatch, capsys):
+    # the oracle sets no budget, and the variable is still checked
+    monkeypatch.setenv("WS1S_STATE_BUDGET", value)
+    assert main(["oracle", "check", "x in Y", "--k", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WS1S_STATE_BUDGET") and err.count("\n") == 1
 
 
 def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):

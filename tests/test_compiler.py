@@ -133,8 +133,8 @@ def test_a_chain_built_from_its_parts_dumps_as_the_chain_built_whole():
 
 @pytest.mark.parametrize("cache, widths", [
     (MemoCache, [1, 2]),  # all three parts share one shape
-    (lambda: None, [1, 1, 1, 2]),  # each part is restricted, the repeat too
-], ids=["memo", "no-memo"])
+    (lambda: None, [1, 2]),  # a compile with no cache shares shapes in its own
+], ids=["memo", "own-cache"])
 def test_a_repeated_part_is_multiplied_in_once(cache, widths, monkeypatch):
     # a restriction meets a one-track automaton; the product of the two
     # distinct parts is the only meet with a two-track one
@@ -250,7 +250,7 @@ def _key_chars(text):
     f = parse(text)
     cache = MemoCache()
     compile_formula(f, _registry_for(f), cache)
-    return cache, sum(len(key) for key in {*cache._table, *cache._names})
+    return cache, sum(map(len, cache._table))
 
 
 def test_memo_key_characters_grow_linearly_in_a_chain():

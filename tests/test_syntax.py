@@ -3,7 +3,7 @@ import random
 import pytest
 
 from formula_gen import random_formula
-from ws1s_stream.errors import KindError, ParseError, UnboundVariableError
+from ws1s_stream.errors import KindError, ParseError
 from ws1s_stream.syntax import (
     And,
     EqFo,
@@ -124,12 +124,6 @@ def test_binder_name_reused_in_a_sibling_scope_parses():
     # a name bound in one scope still cannot be used free in another
     with pytest.raises(ParseError, match="bound elsewhere"):
         parse("(ex1 z: z < x) & z in Y")
-
-
-def test_free_variables_forbidden_mode():
-    with pytest.raises(UnboundVariableError):
-        parse("x in Y", allow_free=False)
-    parse("ex2 Y: ex1 x: x in Y", allow_free=False)
 
 
 def test_normalize_forall():
