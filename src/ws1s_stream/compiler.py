@@ -69,10 +69,10 @@ from .syntax import (
     Sub,
     Succ,
     VarId,
+    check_atom_kinds,
     free_vars,
     normalize,
     operands,
-    validate_kinds,
 )
 
 
@@ -197,7 +197,11 @@ _ATOMS[Sub] = _ATOMS[In]
 
 def _atom_tracks(atom, env: dict[str, int]) -> tuple[TrackSet, tuple[int, int]]:
     """The tracks of an atom's operands in index order, and each operand's
-    rank among them; operands on one track share it, with the first's kind."""
+    rank among them; operands on one track share it, with the first's kind.
+
+    Every atom a compile meets passes through here before its memo lookup,
+    so an operand of the wrong kind raises ``KindError`` first."""
+    check_atom_kinds(atom)
     a, b = operands(atom)
     for v in (a, b):
         if v.name not in env:
@@ -217,7 +221,6 @@ def compile_atom(atom, env: dict[str, int]) -> Dfa:
     """
     if type(atom) not in _ATOMS:
         raise KindError(f"not an atom: {atom!r}")
-    validate_kinds(atom)
     tracks, ranks = _atom_tracks(atom, env)
     accepting, rows = _ATOMS[type(atom)]
     if len(tracks) == 1:
@@ -248,7 +251,6 @@ def compile_formula(
     if cache is None:
         cache = MemoCache()
     f = normalize(f)
-    validate_kinds(f)
     env = {v.name: registry.track_of(v) for v in free_vars(f)}
     parts: list[Dfa] = []
     for part in conjuncts(f):
@@ -290,7 +292,7 @@ def _fold(f: Formula, env: dict[str, int], cache, budget) -> tuple[str, Dfa]:
     match f:
         case _ if type(f) in _ATOMS:
             tracks, (ra, rb) = _atom_tracks(f, env)
-            # an atom's type fixes its operands' kinds, so the key names none
+            # _atom_tracks checked the kinds the atom's type fixes, so the key names none
             return cache.lookup(f"{type(f).__name__}({ra},{rb})", tracks,
                                 lambda: minimize(compile_atom(f, env)))
         case Not(body):

@@ -126,7 +126,9 @@ Formula = In | Less | Succ | EqFo | Sub | Not | And | Or | Implies | Exists | Fo
 ATOM_TYPES = (In, Less, Succ, EqFo, Sub)
 
 
-def _check_atom_kinds(node, line=0, col=0):
+def check_atom_kinds(node, line=0, col=0):
+    """Raise ``KindError`` unless each operand of an atom has the kind its
+    position takes; a nonzero ``line`` prefixes the message with the position."""
     def need(v: VarId, kind: Kind, role: str):
         if v.kind is not kind:
             wanted = "first-order" if kind is Kind.FIRST_ORDER else "second-order"
@@ -163,14 +165,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
 def operands(atom) -> tuple[VarId, VarId]:
     """The two variables of an atom, in written order."""
     return (atom.y, atom.z) if isinstance(atom, Sub) else (atom.x, atom.y)
-
-
-def validate_kinds(f: Formula) -> None:
-    """Check kind-correctness of every atom in an AST built by hand."""
-    if isinstance(f, ATOM_TYPES):
-        _check_atom_kinds(f)
-    for sub in children(f):
-        validate_kinds(sub)
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -365,7 +359,7 @@ class _Parser:
                 node = EqFo(left, right)
         else:
             raise ParseError(op.line, op.col, "'in', 'sub', '<' or '='", op.text or None)
-        _check_atom_kinds(node, left_tok.line, left_tok.col)
+        check_atom_kinds(node, left_tok.line, left_tok.col)
         return node
 
 

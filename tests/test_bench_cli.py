@@ -133,6 +133,15 @@ def test_stream_command_empty_input():
     assert (code, out, err) == (0, "", "")
 
 
+def test_stream_command_skips_blank_lines_and_counts_them_in_line_numbers():
+    code, out, err = _run_stream("x in Y\n\n   \n~(x in Y)\nbad(\n")
+    lines = out.splitlines()
+    assert code == 2
+    assert len(lines) == 2 and lines[0].startswith("step=1 verdict=sat ")
+    assert lines[1] == "step=2 verdict=unsat"
+    assert err == "line 5: 1:4: expected 'in', 'sub', '<' or '=', found '('\n"
+
+
 def test_stream_command_bad_line_stops():
     code, out, err = _run_stream("x in\nx in Y\n")
     assert code == 2
@@ -528,6 +537,7 @@ def test_cli_state_budget_env_caps_both_in_bench(monkeypatch, capsys, tmp_path):
     ["bench", "--family", "1", "--n", "2", "--modes", "inc,foo", "--out", "unused.csv"],
     ["bench", "--family", "1", "--n", "2", "--modes", "", "--out", "unused.csv"],
     ["bench", "--family", "1", "--n", "2", "--modes", "inc,inc", "--out", "unused.csv"],
+    ["bench", "--family", "1", "--n", "abc", "--out", "unused.csv"],
 ])
 def test_cli_out_of_range_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -100,6 +100,27 @@ def test_unbound_variable_rejected():
         compile_formula(f, TrackRegistry())
 
 
+_Y2, _Z2 = VarId("Y", Kind.SECOND_ORDER), VarId("Z", Kind.SECOND_ORDER)
+_X1 = VarId("x", Kind.FIRST_ORDER)
+_ILL_KINDED = In(_Y2, _Z2)  # parse never builds it: the compiler checks each atom itself
+_ILL_KINDED_MESSAGE = "Y must be first-order in 'in' left position"
+
+
+@pytest.mark.parametrize("f", [_ILL_KINDED, Not(And(In(_X1, _Y2), _ILL_KINDED))])
+def test_compile_formula_rejects_a_hand_built_ill_kinded_atom(f):
+    with pytest.raises(KindError) as exc:
+        compile_formula(f, _registry_for(f))
+    assert str(exc.value) == _ILL_KINDED_MESSAGE
+
+
+def test_compile_atom_rejects_ill_kinded_and_unbound_operands():
+    with pytest.raises(KindError) as exc:
+        compile_atom(_ILL_KINDED, {"Y": 0, "Z": 1})
+    assert str(exc.value) == _ILL_KINDED_MESSAGE
+    with pytest.raises(UnboundTrack, match="no track bound for Y"):
+        compile_atom(In(_X1, _Y2), {"x": 0})
+
+
 def test_registry_kind_conflict():
     registry = TrackRegistry()
     registry.register(VarId("w", Kind.FIRST_ORDER))

@@ -44,6 +44,17 @@ def test_eval_requires_assignments():
         evaluate(In(x, Y), Interpretation(1, {"x": 0}))
 
 
+@pytest.mark.parametrize("args", [(2, {"x": 2}), (2, {}, {"Y": frozenset({0, 3})})])
+def test_interpretation_rejects_positions_outside_the_model(args):
+    with pytest.raises(ValueError, match="outside model of length 2"):
+        Interpretation(*args)
+
+
+def test_sat_bounded_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        sat_bounded(parse("x in Y"), -1)
+
+
 def test_sat_bounded_contradiction():
     assert sat_bounded(And(In(x, Y), Not(In(x, Y))), 4) is None
 

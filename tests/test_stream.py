@@ -19,7 +19,13 @@ from ws1s_stream.automata import (
 )
 from ws1s_stream.bench import BenchConfig, family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
-from ws1s_stream.errors import KindConflict, StateBudgetExceeded, TrackKindConflict, WsError
+from ws1s_stream.errors import (
+    KindConflict,
+    KindError,
+    StateBudgetExceeded,
+    TrackKindConflict,
+    WsError,
+)
 from ws1s_stream import stream
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
@@ -513,6 +519,22 @@ def test_push_too_deep_to_compile_raises_and_leaves_the_session_as_it_was():
     assert _session_state(s) == before and len(s.registry) == registered
     assert s.push(parse("x < z")).verdict.is_sat
     assert [s.registry.name_of(t.index) for t in s.explorer.union_tracks] == ["x", "Y", "z"]
+
+
+@pytest.mark.parametrize("warm", [[], ["x in Y"]])
+def test_ill_kinded_push_raises_before_any_memo_lookup(warm):
+    # with "x in Y" pushed, the cache holds In's shape: the kind check,
+    # not that entry, answers the hand-built atom
+    s = StreamSession()
+    for line in warm:
+        s.push(parse(line))
+    registry = [s.registry.name_of(i) for i in range(len(s.registry))]
+    before, counts = _session_state(s), (s.cache.hits, s.cache.misses)
+    with pytest.raises(KindError) as exc:
+        s.push(In(VarId("Y", Kind.SECOND_ORDER), VarId("Z", Kind.SECOND_ORDER)))
+    assert str(exc.value) == "Y must be first-order in 'in' left position"
+    assert _session_state(s) == before and (s.cache.hits, s.cache.misses) == counts
+    assert [s.registry.name_of(i) for i in range(len(s.registry))] == registry
 
 
 def test_second_search_at_the_same_arity_keeps_the_verdict():

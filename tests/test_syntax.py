@@ -55,6 +55,18 @@ def test_parse_error_position_after_newline(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("text,line,col,message", [
+    ("x in Y )", 1, 8, "expected end of input, found ')'"),
+    ("x = y + 2", 1, 9, "expected '1', found '2'"),
+    ("x y", 1, 3, "expected 'in', 'sub', '<' or '=', found 'y'"),
+])
+def test_parse_error_branches(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+
+
 @pytest.mark.parametrize("text,expected", [
     ("x < y", Less(x, y)),
     ("x = y + 1", Succ(x, y)),
@@ -184,7 +196,7 @@ def test_free_vars_order():
 
 
 @pytest.mark.parametrize(
-    "name", ["free_vars", "validate_kinds", "normalize", "print_formula", "quantifier_count"])
+    "name", ["free_vars", "normalize", "print_formula", "quantifier_count"])
 def test_traversals_reject_non_formula_nodes(name):
     import ws1s_stream.syntax as syntax
 
