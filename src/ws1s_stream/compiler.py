@@ -15,9 +15,7 @@ diagrams by one k-ary apply that stops at dead states, without the
 cubes of any unminimized product.  Restricting only the whole chain
 would leave the product unrestricted over its full width.  Where every
 part shares the same first-order variables, the per-part restrictions
-repeat: 400 random chains of 2-4 small formulas over two first-order
-names take about 1.2 s part by part and 1.1 s whole (medians of five
-runs).  Restricting each first-order track once per chain instead
+repeat.  Restricting each first-order track once per chain instead
 (unrestricted parts, and one restriction per track in the chain's one
 product) measured slower on the one-shot run of the wide-conjuncts
 benchmark (14 lines, seed 3, Python 3.11 on 2 vCPUs), 0.041 s against
@@ -72,7 +70,6 @@ from .syntax import (
     check_atom_kinds,
     free_vars,
     normalize,
-    operands,
 )
 
 
@@ -202,7 +199,7 @@ def _atom_tracks(atom, env: dict[str, int]) -> tuple[TrackSet, tuple[int, int]]:
     Every atom a compile meets passes through here before its memo lookup,
     so an operand of the wrong kind raises ``KindError`` first."""
     check_atom_kinds(atom)
-    a, b = operands(atom)
+    a, b = atom.x, atom.y
     for v in (a, b):
         if v.name not in env:
             raise UnboundTrack(f"no track bound for {v.name}")

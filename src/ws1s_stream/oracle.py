@@ -79,7 +79,7 @@ def _eval(f: Formula, fo: dict[str, int], so: dict[str, frozenset[int]], length:
     if isinstance(f, EqFo):
         return fo[f.x.name] == fo[f.y.name]
     if isinstance(f, Sub):
-        return so[f.y.name] <= so[f.z.name]
+        return so[f.x.name] <= so[f.y.name]
     if isinstance(f, Not):
         return not _eval(f.body, fo, so, length)
     if isinstance(f, And):

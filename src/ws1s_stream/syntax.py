@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import KindError, ParseError
 
@@ -55,35 +56,37 @@ def var_from_name(name: str) -> VarId:
 # --- AST nodes -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class In:
-    x: VarId
-    y: VarId
+class Atom:
+    """Two variables related by one atom type, in written order.
 
-
-@dataclass(frozen=True)
-class Less:
-    x: VarId
-    y: VarId
-
-
-@dataclass(frozen=True)
-class Succ:
-    """x = y + 1."""
+    Each atom type fixes the kind each operand takes and its written
+    form, a format string over the operands' names.
+    """
 
     x: VarId
     y: VarId
+    kinds: ClassVar[tuple[Kind, Kind]]
+    text: ClassVar[str]
 
 
-@dataclass(frozen=True)
-class EqFo:
-    x: VarId
-    y: VarId
+class In(Atom):
+    kinds, text = (Kind.FIRST_ORDER, Kind.SECOND_ORDER), "{} in {}"
 
 
-@dataclass(frozen=True)
-class Sub:
-    y: VarId
-    z: VarId
+class Sub(Atom):
+    kinds, text = (Kind.SECOND_ORDER, Kind.SECOND_ORDER), "{} sub {}"
+
+
+class Less(Atom):
+    kinds, text = (Kind.FIRST_ORDER, Kind.FIRST_ORDER), "{} < {}"
+
+
+class Succ(Atom):
+    kinds, text = (Kind.FIRST_ORDER, Kind.FIRST_ORDER), "{} = {} + 1"
+
+
+class EqFo(Atom):
+    kinds, text = (Kind.FIRST_ORDER, Kind.FIRST_ORDER), "{} = {}"
 
 
 @dataclass(frozen=True)
@@ -121,29 +124,19 @@ class Forall:
     body: "Formula"
 
 
-Formula = In | Less | Succ | EqFo | Sub | Not | And | Or | Implies | Exists | Forall
-
-ATOM_TYPES = (In, Less, Succ, EqFo, Sub)
+Formula = Atom | Not | And | Or | Implies | Exists | Forall
 
 
-def check_atom_kinds(node, line=0, col=0):
+def check_atom_kinds(atom: Atom, tokens=(None, None)):
     """Raise ``KindError`` unless each operand of an atom has the kind its
-    position takes; a nonzero ``line`` prefixes the message with the position."""
-    def need(v: VarId, kind: Kind, role: str):
+    side takes; given the operands' tokens, the message starts with the
+    offending one's position."""
+    for v, kind, side, tok in zip((atom.x, atom.y), atom.kinds, ("left", "right"), tokens):
         if v.kind is not kind:
             wanted = "first-order" if kind is Kind.FIRST_ORDER else "second-order"
-            where = f"{line}:{col}: " if line else ""
-            raise KindError(f"{where}{v.name} must be {wanted} in {role}")
-
-    if isinstance(node, In):
-        need(node.x, Kind.FIRST_ORDER, "'in' left position")
-        need(node.y, Kind.SECOND_ORDER, "'in' right position")
-    elif isinstance(node, Sub):
-        need(node.y, Kind.SECOND_ORDER, "'sub' left position")
-        need(node.z, Kind.SECOND_ORDER, "'sub' right position")
-    else:
-        need(node.x, Kind.FIRST_ORDER, type(node).__name__)
-        need(node.y, Kind.FIRST_ORDER, type(node).__name__)
+            where = f"{tok.line}:{tok.col}: " if tok else ""
+            connective = " ".join(atom.text.format("", "").split())
+            raise KindError(f"{where}{v.name} must be {wanted} in '{connective}' {side} position")
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -153,18 +146,13 @@ def children(f: Formula) -> tuple[Formula, ...]:
     goes through it, so anything that is not a formula node raises here.
     """
     match f:
-        case In() | Less() | Succ() | EqFo() | Sub():
+        case Atom():
             return ()
         case Not(body) | Exists(_, body) | Forall(_, body):
             return (body,)
         case And(left, right) | Or(left, right) | Implies(left, right):
             return (left, right)
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def operands(atom) -> tuple[VarId, VarId]:
-    """The two variables of an atom, in written order."""
-    return (atom.y, atom.z) if isinstance(atom, Sub) else (atom.x, atom.y)
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -344,11 +332,11 @@ class _Parser:
         relation = _RELATIONS.get(op.text) if op.type in ("kw", "<") else None
         if relation is not None:
             self.take(op.type)
-            right, _ = self.variable()
+            right, right_tok = self.variable()
             node = relation(left, right)
         elif op.type == "=":
             self.take("=")
-            right, _ = self.variable()
+            right, right_tok = self.variable()
             if self.peek().type == "+":
                 self.take("+")
                 one = self.take("num")
@@ -359,7 +347,7 @@ class _Parser:
                 node = EqFo(left, right)
         else:
             raise ParseError(op.line, op.col, "'in', 'sub', '<' or '='", op.text or None)
-        check_atom_kinds(node, left_tok.line, left_tok.col)
+        check_atom_kinds(node, (left_tok, right_tok))
         return node
 
 
@@ -378,10 +366,6 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-_ATOM_TEXT = {In: "{} in {}", Sub: "{} sub {}", Less: "{} < {}",
-              Succ: "{} = {} + 1", EqFo: "{} = {}"}
-
-
 def _print(f: Formula, ctx: int) -> str:
     match f:
         case Not(body):
@@ -398,8 +382,7 @@ def _print(f: Formula, ctx: int) -> str:
             s, p = f"{kw} {var.name}: {_print(body, _PREC_QUANT)}", _PREC_QUANT
         case _:
             children(f)  # only atoms are left; anything else raises there
-            a, b = operands(f)
-            s, p = _ATOM_TEXT[type(f)].format(a.name, b.name), _PREC_ATOM
+            s, p = f.text.format(f.x.name, f.y.name), _PREC_ATOM
     return f"({s})" if p < ctx else s
 
 
@@ -436,8 +419,8 @@ def free_vars(f: Formula) -> list[VarId]:
     seen: list[VarId] = []
 
     def visit(node: Formula, bound: frozenset[str]):
-        if isinstance(node, ATOM_TYPES):
-            for v in operands(node):
+        if isinstance(node, Atom):
+            for v in (node.x, node.y):
                 if v.name not in bound and v not in seen:
                     seen.append(v)
         elif isinstance(node, (Exists, Forall)):

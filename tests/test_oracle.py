@@ -19,6 +19,7 @@ from ws1s_stream.syntax import (
     Kind,
     Less,
     Not,
+    Sub,
     VarId,
     free_vars,
     normalize,
@@ -27,11 +28,19 @@ from ws1s_stream.syntax import (
 
 x = VarId("x", Kind.FIRST_ORDER)
 Y = VarId("Y", Kind.SECOND_ORDER)
+Z = VarId("Z", Kind.SECOND_ORDER)
 
 
 def test_eval_membership():
     assert evaluate(In(x, Y), Interpretation(1, {"x": 0}, {"Y": frozenset({0})}))
     assert not evaluate(In(x, Y), Interpretation(1, {"x": 0}, {"Y": frozenset()}))
+
+
+def test_eval_subset_reads_left_in_right():
+    # Y sub Z: every member of Y is in Z, not the other way round
+    one, none = frozenset({0}), frozenset()
+    assert not evaluate(Sub(Y, Z), Interpretation(1, {}, {"Y": one, "Z": none}))
+    assert evaluate(Sub(Y, Z), Interpretation(1, {}, {"Y": none, "Z": one}))
 
 
 def test_eval_second_order_exists():

@@ -120,6 +120,26 @@ def test_kind_errors(text):
         parse(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("Y in Z", "1:1: Y must be first-order in 'in' left position"),
+    ("x in y", "1:6: y must be second-order in 'in' right position"),
+    ("x sub Y", "1:1: x must be second-order in 'sub' left position"),
+    ("Y sub x", "1:7: x must be second-order in 'sub' right position"),
+    ("Y < x", "1:1: Y must be first-order in '<' left position"),
+    ("x < Y", "1:5: Y must be first-order in '<' right position"),
+    ("Y = x", "1:1: Y must be first-order in '=' left position"),
+    ("x = Y", "1:5: Y must be first-order in '=' right position"),
+    ("Y = x + 1", "1:1: Y must be first-order in '= + 1' left position"),
+    ("x = Y + 1", "1:5: Y must be first-order in '= + 1' right position"),
+    ("ex1 x: x in x", "1:13: x must be second-order in 'in' right position"),
+    ("x in Y &\n  y <  Z", "2:8: Z must be first-order in '<' right position"),
+])
+def test_kind_error_names_the_offending_operand_and_its_position(text, message):
+    with pytest.raises(KindError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_shadowing_rejected():
     with pytest.raises(ParseError):
         parse("ex1 x: ex1 x: x < x")
@@ -185,6 +205,11 @@ def test_parse_print_round_trip_on_random_formulas():
 def test_print_parse_identity_up_to_whitespace():
     for text in ["x in Y", "ex2 Y: x in Y", "~(x in Y & x in Z)", "x = y + 1"]:
         assert " ".join(print_formula(parse(text)).split()) == " ".join(text.split())
+
+
+def test_sub_keeps_its_operands_in_written_order():
+    assert free_vars(Sub(Y, Z)) == [Y, Z]
+    assert print_formula(Sub(Y, Z)) == "Y sub Z"
 
 
 def test_free_vars_order():
