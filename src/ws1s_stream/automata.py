@@ -614,7 +614,7 @@ def find_witness(a: Dfa) -> Optional[Witness]:
         return []
     paths: dict[int, tuple[Symbol, ...]] = {a.initial: ()}
     layer = [a.initial]
-    while layer:
+    while True:
         discovered: dict[int, tuple[Symbol, ...]] = {}
         for state in sorted(layer, key=lambda s: paths[s]):
             base = paths[state]
@@ -631,7 +631,6 @@ def find_witness(a: Dfa) -> Optional[Witness]:
             return list(min(hits))
         paths.update(discovered)
         layer = list(discovered)
-    return None
 
 
 def is_empty(a: Dfa) -> bool:

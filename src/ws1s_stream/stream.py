@@ -307,7 +307,6 @@ class ProductExplorer:
         self.held = 0  # edges stored on complete states
         self.complete = 0  # and the placed states that hold them
         self.credit = 0  # edges derived by searches whose release has not caught up
-        self.searched = 0  # the arity of the last search that ended
         # no witness of a later search is shorter: the last witness's length,
         # or FAR once a search found none (components only shrink the language)
         self.bound = 0
@@ -358,18 +357,22 @@ class ProductExplorer:
 
         Every state interned since goes too.  The root at arity ``keep + 1``
         was the first of them (nothing reaches an arity before its root),
-        so they are the tail of the id list from that root on.  Edges
-        stored since may name those states, so they go as well: those of a
-        search that raised, which is all a failed push leaves, and every
-        stored edge if a search that ended used a component dropped here.
+        so they are the tail of the id list from that root on.  The edges
+        the running search stored go, which is all a failed push leaves,
+        and so does every stored edge that names a dropped state; the rest
+        still hold and stay.  An edge names a state of its own arity, so
+        those are the edges stored above arity ``keep`` and any that a fold
+        at a higher arity stored on a kept prefix, naming a state it
+        interned at the prefix's arity.
         """
         if keep == len(self.components):
             return
         mark = self.roots[keep + 1]
-        if keep < self.searched:
-            self._release_all()
         self._release(self.archived)
         self.archived.clear()
+        for nodes in (self.old, *self.kept):
+            self._release([node for node in nodes if node.arity > keep
+                           or any(target >= mark for _, _, target in node.out or ())])
         self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
         while len(self.ids) >= mark:  # one key per id from 1 on, in id order
@@ -432,14 +435,6 @@ class ProductExplorer:
                 self.complete -= 1
                 node.out = None
 
-    def _release_all(self) -> None:
-        """Drop every stored edge, and the lists of the states that held them."""
-        for nodes in (self.old, *self.kept, self.archived):
-            self._release(nodes)
-        self.old.clear()
-        self.archived.clear()
-        self.kept, self.credit = [[], []], 0
-
     def _retire(self, sat: bool, derived: int) -> None:
         """Close the running search's list, which stored ``derived`` edges.
 
@@ -451,9 +446,10 @@ class ProductExplorer:
         old search's edges all at once.  After unsat no search follows, and
         everything goes.
         """
-        self.searched = len(self.components)
         if not sat:
-            self._release_all()
+            for nodes in (self.old, *self.kept, self.archived):
+                self._release(nodes)
+            self.old, self.kept, self.archived, self.credit = deque(), [[], []], [], 0
             return
         old = self.old
         old.extend(self.kept.pop(0))

@@ -43,7 +43,7 @@ class VarId:
     _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
     def __post_init__(self):
-        if not self._NAME_RE.match(self.name):
+        if not self._NAME_RE.match(self.name) or self.name in _KEYWORDS:
             raise ValueError(f"invalid variable name {self.name!r}")
 
 

@@ -44,7 +44,7 @@ from ws1s_stream.compiler import (
     compile_formula,
     restriction_automaton,
 )
-from ws1s_stream.errors import ArityMismatch, StateBudgetExceeded, TrackKindConflict
+from ws1s_stream.errors import ArityMismatch, StateBudgetExceeded, TrackKindConflict, UnknownTrack
 from ws1s_stream.syntax import Kind, free_vars, parse
 
 
@@ -92,6 +92,11 @@ def test_accepts_basic(x_in_y):
 def test_accepts_arity_check(x_in_y):
     with pytest.raises(ArityMismatch):
         accepts(x_in_y, [(1, 1, 0)])
+
+
+def test_make_tracks_rejects_indices_out_of_order():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        make_tracks([(1, Kind.FIRST_ORDER), (0, Kind.SECOND_ORDER)])
 
 
 def test_intersect_with_complement_is_empty(x_in_y):
@@ -160,6 +165,11 @@ def test_project_empty_stays_empty(x_in_y):
     assert find_witness(minimize(determinize(project(empty, track)))) is None
 
 
+def test_project_rejects_a_track_the_automaton_lacks(x_in_y):
+    with pytest.raises(UnknownTrack):
+        project(x_in_y, 99)
+
+
 def test_determinize_preserves_deterministic_language(x_in_y):
     as_nfa = Nfa(
         x_in_y.tracks, x_in_y.num_states, x_in_y.initial, x_in_y.accepting,
@@ -175,6 +185,11 @@ def test_determinize_matches_nfa_run_semantics(x_in_y):
     for _ in range(100):
         word = [(rng.randint(0, 1),) for _ in range(rng.randint(0, 6))]
         assert accepts(dfa, word) == nfa_accepts(nfa, word)
+
+
+def test_nfa_accepts_arity_check(x_in_y):
+    with pytest.raises(ArityMismatch):
+        nfa_accepts(project(x_in_y, 1), [(1, 1)])
 
 
 def test_determinize_projected_membership(x_in_y):

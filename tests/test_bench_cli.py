@@ -5,16 +5,18 @@ import json
 import random
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from formula_gen import random_formula
+from ws1s_stream import bench
 from ws1s_stream.automata import dump, language_equiv, minimize, parse_dump
 from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
 from ws1s_stream.cli import main, stream_command
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
+from ws1s_stream.errors import ModeDisagreement
 from ws1s_stream.oracle import sat_bounded
 from ws1s_stream.stream import FROM_SCRATCH, INCREMENTAL, StepReport, StreamSession
 from ws1s_stream.syntax import And, Kind, VarId, free_vars, parse, print_formula
@@ -47,6 +49,12 @@ def test_family2_conjunct_is_bare_restriction():
         registry.register(v)
     dfa = compile_formula(f, registry)
     assert language_equiv(dfa, restriction_automaton(0))
+
+
+@pytest.mark.parametrize("family", [family1, family2])
+def test_family_of_no_conjuncts_is_rejected(family):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        family(0)
 
 
 @pytest.mark.parametrize("family", [family1, family2])
@@ -94,6 +102,21 @@ def test_run_bench_single_step_modes_match(tmp_path):
     counts = {r["mode"]: (r["explored_step"], r["explored_total"])
               for r in rows if r["rep"] == 1}
     assert counts[INCREMENTAL] == counts[FROM_SCRATCH]
+
+
+def test_run_bench_raises_when_the_modes_disagree(monkeypatch, tmp_path):
+    scratch = bench.from_scratch_check
+
+    def flipped(formulas, *, budget=None):  # the last step answers unsat
+        _, reports = scratch(formulas, budget=budget)
+        unsat = replace(reports[-1].verdict, status="unsat", word=None)
+        return unsat, reports[:-1] + [replace(reports[-1], verdict=unsat)]
+
+    monkeypatch.setattr(bench, "from_scratch_check", flipped)
+    out = tmp_path / "bench.csv"
+    with pytest.raises(ModeDisagreement, match="step 2: modes disagree: Incremental=sat, FromScratch=unsat"):
+        run_bench(BenchConfig(family=1, n_max=2, out_path=str(out)))
+    assert not out.exists()  # nothing is written
 
 
 def test_bench_config_validation():
@@ -370,6 +393,17 @@ def test_readme_stream_example_is_what_stream_prints():
     code, out, err = _run_stream(match[1].replace("\\n", "\n"))
     assert (code, err) == (0, "")
     assert out == match[2] and out.count("\n") == 3
+
+
+def test_readme_library_example_prints_what_it_shows(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    match = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert match is not None
+    exec(compile(match[1], "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "1 sat [{'x': 1, 'Y': 1}]\n"
+        "2 sat [{'x': 1, 'Y': 1, 'y': 0}, {'x': 0, 'Y': 1, 'y': 1}]\n"
+    )
 
 
 def test_cli_parse_error_exit_code(capsys):

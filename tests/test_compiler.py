@@ -128,6 +128,13 @@ def test_registry_kind_conflict():
         registry.register(VarId("w", Kind.SECOND_ORDER))
 
 
+def test_registry_track_of_rejects_the_other_kind():
+    registry = TrackRegistry()
+    registry.register(VarId("w", Kind.FIRST_ORDER))
+    with pytest.raises(KindConflict, match="w registered as FIRST_ORDER, referenced as SECOND_ORDER"):
+        registry.track_of(VarId("w", Kind.SECOND_ORDER))
+
+
 def test_compositionality_on_random_pairs():
     rng = random.Random(41)
     for _ in range(15):

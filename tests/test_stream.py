@@ -1000,6 +1000,44 @@ def test_adding_a_component_appends_only_its_new_tracks():
     assert explorer.held == 0 and not any(node.complete for node in explorer.by_id)
 
 
+def test_drop_keeps_the_stored_edges_of_the_states_it_keeps():
+    explorer = ProductExplorer()
+    explorer.add_component(restriction_automaton(0))
+    explorer.search(100)
+    for track in (1, 2):
+        explorer.add_component(restriction_automaton(track))
+    explorer.search(100)
+    explorer.drop_components(1)
+    # the arity-1 root's edges name arity-1 states the drop keeps
+    assert (explorer.held, explorer.complete) == (2, 1)
+    explorer.add_component(restriction_automaton(1))
+    verdict = explorer.search(100)[0]
+    assert explorer.replayed == 1
+    fresh = ProductExplorer()
+    for track in (0, 1):
+        fresh.add_component(restriction_automaton(track))
+    assert verdict.witness == fresh.search(100)[0].witness == [(1, 1)]
+
+
+def test_drop_releases_kept_edges_that_name_a_dropped_state():
+    def not_a_singleton(track):  # accepts the empty word; one 1-bit leads to a rejecting state
+        return make_dfa(make_tracks([(track, Kind.SECOND_ORDER)]), 3, 0, {0, 2},
+                        {0: [("0", 0), ("1", 1)], 1: [("0", 1), ("1", 2)], 2: [("X", 2)]})
+
+    explorer = ProductExplorer()
+    explorer.add_component(not_a_singleton(0))
+    assert explorer.search(100)[0].witness == []  # the root accepts and is not expanded
+    for track in (1, 2):
+        explorer.add_component(restriction_automaton(track))
+    explorer.search(100)
+    # that search stored the arity-1 root's edges, and one names a state it
+    # interned after the arity-2 root; the drop removes that state
+    explorer.drop_components(1)
+    assert explorer.held == 0 and not any(node.complete for node in explorer.by_id)
+    explorer.add_component(restriction_automaton(1))
+    assert explorer.search(100)[0].witness == [(0, 1)]
+
+
 _BOUND_COUNTERS = {  # per step: (skipped, bound_raises)
     "family1": [(0, 0)] * 4,
     "succ-chain": [(0, 0), (0, 1), (0, 1), (0, 1)],

@@ -212,6 +212,14 @@ def test_sub_keeps_its_operands_in_written_order():
     assert print_formula(Sub(Y, Z)) == "Y sub Z"
 
 
+# the six reserved words, which print_formula would write as text that does
+# not parse ("in in Y"), and a name that is not an identifier
+@pytest.mark.parametrize("name", ["in", "sub", "ex1", "ex2", "all1", "all2", "1x"])
+def test_var_id_rejects_a_name_the_parser_cannot_read(name):
+    with pytest.raises(ValueError, match="invalid variable name"):
+        VarId(name, Kind.FIRST_ORDER)
+
+
 def test_free_vars_order():
     assert free_vars(In(x, Y)) == [x, Y]
     assert free_vars(Exists(Y, In(x, Y))) == [x]
