@@ -450,8 +450,6 @@ def complement(a: Dfa) -> Dfa:
 def cylindrify(a: Dfa, extra: TrackSet) -> Dfa:
     """Add don't-care tracks; the language becomes the inverse projection."""
     tracks = merge_tracks(a.tracks, extra)
-    if len(tracks) == a.width:
-        return a
     width = len(tracks)
     delta = tuple(tuple((mask_cube(care, value, width), dst) for care, value, dst in row)
                   for row in mask_rows(a, track_columns(a.tracks, tracks), width))
@@ -661,9 +659,10 @@ def parse_dump(text: str) -> Dfa:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or lines[0][0] != "dfa" or lines[1][0] != "accepting":
         raise ValueError("not an automaton dump")
+    names = sorted(part.split("=", 1)[0] for part in lines[0][1:])
+    if names != ["initial", "states", "tracks"]:  # each once, or a repeat would override
+        raise ValueError(f"dump header needs tracks=, states= and initial=, has {names}")
     fields = dict(part.split("=", 1) for part in lines[0][1:])
-    if sorted(fields) != ["initial", "states", "tracks"]:
-        raise ValueError(f"dump header needs tracks=, states= and initial=, has {sorted(fields)}")
     if fields["tracks"]:
         tracks = make_tracks(
             (int(i), Kind(int(k)))

@@ -101,14 +101,13 @@ def run_bench(cfg: BenchConfig) -> list[dict]:
         reports_by_mode = {
             mode: _run_mode(mode, formulas, cfg.state_budget) for mode in cfg.modes
         }
-        if len(cfg.modes) > 1:
-            for step_reports in zip(*reports_by_mode.values()):
-                statuses = {r.verdict.status for r in step_reports}
-                if len(statuses) != 1:
-                    raise ModeDisagreement(
-                        f"step {step_reports[0].step}: modes disagree: "
-                        + ", ".join(f"{r.mode}={r.verdict.status}" for r in step_reports)
-                    )
+        for step_reports in zip(*reports_by_mode.values()):
+            statuses = {r.verdict.status for r in step_reports}
+            if len(statuses) != 1:
+                raise ModeDisagreement(
+                    f"step {step_reports[0].step}: modes disagree: "
+                    + ", ".join(f"{r.mode}={r.verdict.status}" for r in step_reports)
+                )
         for mode, reports in reports_by_mode.items():
             cum_ns = 0
             for r in reports:

@@ -154,7 +154,8 @@ class MemoCache:
         entry = self._table.get(key)
         if entry is None:
             self.misses += 1
-            entry = self._table[key] = (f"#{len(self._table)}", build())
+            dfa = build()  # before naming: a key that build looks up is named first
+            entry = self._table[key] = (f"#{len(self._table)}", dfa)
             return entry
         self.hits += 1
         name, dfa = entry

@@ -326,8 +326,10 @@ class ProductExplorer:
         return tuple(self.tracks)
 
     def add_component(self, dfa: Dfa) -> None:
-        """Append ``dfa`` as the last component; the work follows its own
-        tracks, not the union's."""
+        """Append ``dfa`` as the last component, unless a component equals
+        it (L & L = L); the work follows its own tracks, not the union's."""
+        if dfa in self.dfas:
+            return
         tracks, columns = self.tracks, self.columns
         new = []
         for t in dfa.tracks:
@@ -373,6 +375,9 @@ class ProductExplorer:
         for nodes in (self.old, *self.kept):
             self._release([node for node in nodes if node.arity > keep
                            or any(target >= mark for _, _, target in node.out or ())])
+        # what was released leaves the lists, so they keep no dropped state alive
+        self.old = deque(node for node in self.old if node.out is not None)
+        self.kept = [[node for node in nodes if node.out is not None] for nodes in self.kept]
         self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
         while len(self.ids) >= mark:  # one key per id from 1 on, in id order
@@ -470,13 +475,15 @@ class ProductExplorer:
         Returns (partial verdict, states explored, deepest layer whose edges
         were walked, archived edges included; -1 if none).  The states
         explored are those this search placed, but for the new root and the
-        first placed extension of each placed prefix.  A sat verdict's
-        word is the ``value`` of each placed state on the witness path, and
-        its step index is filled in by the caller.  A layer's nodes are
-        walked in discovery order, each along its edges least symbol
-        first, and a target's first discovery places it; paths into one
-        layer have equal length, so that is lexicographic path order, and
-        the first accepting node ends the shortest lex-least witness, read
+        first placed extension of each placed prefix.  Only the first search
+        at an arity places states; a later one starts at the bound the first
+        ended with, so it walks only states the first placed.  A sat
+        verdict's word is the ``value`` of each placed state on the witness
+        path, and its step index is filled in by the caller.  A layer's
+        nodes are walked in discovery order, each along its edges least
+        symbol first, and a target's first discovery places it; paths into
+        one layer have equal length, so that is lexicographic path order,
+        and the first accepting node ends the shortest lex-least witness, read
         back along parent links.  Whole layers are discovered, so counts
         are reproducible.  Every step of it works on ids and prefix links;
         placing a state, the new root included, sets its depth and counts it
@@ -502,16 +509,15 @@ class ProductExplorer:
         the states it stored edges on to ``_retire``.
         """
         by_id, held = self.by_id, self.held
-        placed: list[_Node] = []  # the states this search placed, in placement order
         self.expanded = self.replayed = self.edges_out = self.bound_raises = 0
 
         root = by_id[self.roots[-1]]
-        if root.depth < 0:
+        first = root.depth < 0  # the first search at this arity places every state it discovers
+        if first:
             if self.placed >= state_budget:
                 raise StateBudgetExceeded(state_budget, "product exploration")
             root.depth = 0
             self.placed += 1
-            placed.append(root)
         found = root if root.h == 0 else None
         bound = max(self.bound, root.h)
         seen = {root}  # discovered by this search (an earlier one may have placed them)
@@ -541,7 +547,6 @@ class ProductExplorer:
                             if self.placed >= state_budget:
                                 raise StateBudgetExceeded(state_budget, "product exploration")
                             self.placed += 1
-                            placed.append(child)
                             child.depth, child.parent, child.value = depth + 1, node, value
                         if found is None and child.h == 0:
                             found = child
@@ -554,19 +559,18 @@ class ProductExplorer:
             self.bound_raises += 1
             # only the first search at an arity can raise its bound (a later
             # one starts at its witness's length, or at FAR after unsat), so
-            # this search placed every state below the shallowest layer, and
-            # placed them last
-            mark = len(placed) - sum(map(len, layers[shallowest + 1:]))
-            unplaced = placed[mark:]
-            del placed[mark:], layers[shallowest + 1:]
+            # this search placed the states below the shallowest layer
+            unplaced = [node for nodes in layers[shallowest + 1:] for node in nodes]
+            del layers[shallowest + 1:]
             seen.difference_update(unplaced)
             self.placed -= len(unplaced)
             self._release(unplaced)
             for node in unplaced:
                 node.depth, node.parent, node.value = -1, None, 0
             layer, depth = layers[shallowest], shallowest
-        explored = len(placed) - len({node.prefix for node in placed
-                                      if node.prefix.depth >= 0 or node is root})
+        mine = [node for nodes in layers for node in nodes] if first else []  # what it placed
+        explored = len(mine) - len({node.prefix for node in mine
+                                    if node.prefix.depth >= 0 or node is root})
         # the last walk reached as deep as any earlier one, and expanded a
         # state of its last layer: the one that discovered the witness, or,
         # as it skipped nothing, all of them
@@ -664,8 +668,7 @@ class StreamSession:
 
             t1 = time.perf_counter_ns()
             for dfa in dfas:
-                if dfa not in self.explorer.dfas:
-                    self.explorer.add_component(dfa)
+                explorer.add_component(dfa)
             # after unsat, or with no new component, the verdict stands
             searching = previous.is_sat and len(self.explorer.components) > kept
             if searching:
@@ -695,7 +698,7 @@ class StreamSession:
 
     def witness_maps(self, verdict: StepVerdict) -> Optional[list[dict[str, int]]]:
         """Witness symbols as {variable name: bit} maps, for humans and logs."""
-        if verdict.witness is None:
+        if verdict.word is None:
             return None
         names = [self.registry.name_of(t.index) for t in self.explorer.union_tracks]
         return [dict(zip(names, symbol)) for symbol in verdict.witness]

@@ -158,7 +158,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
 # --- tokenizer -------------------------------------------------------------
 
 _KEYWORDS = {"ex1", "ex2", "all1", "all2", "in", "sub"}
-_RELATIONS = {"in": In, "sub": Sub, "<": Less}  # "=" may go on to "+ 1"
+_RELATIONS = {"in": In, "sub": Sub, "<": Less, "=": EqFo}  # "x = y + 1" is Succ
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -329,24 +329,18 @@ class _Parser:
             raise ParseError(tok.line, tok.col, "a variable or '('", tok.text or None)
         left, left_tok = self.variable()
         op = self.peek()
-        relation = _RELATIONS.get(op.text) if op.type in ("kw", "<") else None
-        if relation is not None:
-            self.take(op.type)
-            right, right_tok = self.variable()
-            node = relation(left, right)
-        elif op.type == "=":
-            self.take("=")
-            right, right_tok = self.variable()
-            if self.peek().type == "+":
-                self.take("+")
-                one = self.take("num")
-                if one.text != "1":
-                    raise ParseError(one.line, one.col, "'1'", one.text)
-                node = Succ(left, right)
-            else:
-                node = EqFo(left, right)
-        else:
+        relation = _RELATIONS.get(op.text)
+        if relation is None:
             raise ParseError(op.line, op.col, "'in', 'sub', '<' or '='", op.text or None)
+        self.take(op.type)
+        right, right_tok = self.variable()
+        if relation is EqFo and self.peek().type == "+":
+            self.take("+")
+            one = self.take("num")
+            if one.text != "1":
+                raise ParseError(one.line, one.col, "'1'", one.text)
+            relation = Succ
+        node = relation(left, right)
         check_atom_kinds(node, (left_tok, right_tok))
         return node
 

@@ -751,8 +751,9 @@ _HEADER = "dfa tracks=0:2 states=1 initial=0\n"
     _HEADER.replace("initial=0", "initial=3") + "accepting 0\ntrans 0 X 0\n",
     _HEADER + "accepting 7\ntrans 0 X 0\n",
     _HEADER + "accepting 0\ntrans 0 X 5\n",
+    "dfa tracks= states=2 initial=0 states=1\naccepting 0\ntrans 0 - 0\n",
 ], ids=["empty", "no-states", "rejecting", "foo", "src-5", "src-minus-1", "cube-2",
-        "missing-cubes", "initial-3", "accepting-7", "dst-5"])
+        "missing-cubes", "initial-3", "accepting-7", "dst-5", "states-twice"])
 def test_parse_dump_rejects_malformed_dumps(text):
     with pytest.raises(ValueError):
         parse_dump(text)

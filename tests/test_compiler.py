@@ -216,6 +216,14 @@ def test_memo_cache_hits_on_repeats():
     assert cache.misses == misses  # second run fully served from cache
 
 
+def test_a_key_looked_up_inside_a_build_takes_its_own_name():
+    # an entry is named when its build returns, after any entry the build made
+    cache, dfa = MemoCache(), restriction_automaton(0)
+    outer, _ = cache.lookup("a", (), lambda: cache.lookup("b", (), lambda: dfa)[1])
+    inner, _ = cache.lookup("b", (), lambda: dfa)
+    assert (inner, outer) == ("#0", "#1")
+
+
 def test_distinct_binder_names_compile_equivalent_automata():
     f = parse("ex1 z: z in Y")
     g = parse("ex1 w: w in Y")

@@ -546,6 +546,27 @@ def test_second_search_at_the_same_arity_keeps_the_verdict():
             verdict = s.push(parse(line)).verdict
         again, created, _ = s.explorer.search(100)
         assert (again.status, again.witness, created) == ("sat", verdict.witness, 0)
+    # only the first search at an arity places states, also when it raised
+    # its bound, as every succ push after the first does: a second one
+    # places, interns and explores nothing, and raises no bound
+    rng = random.Random(11)
+    streams = [_succ_chain(6)] + [_random_stream(rng, 5) for _ in range(100)]
+    searches = after_raise = 0
+    for formulas in streams:
+        s = StreamSession()
+        explorer = s.explorer
+        for f in formulas:
+            report = s.push(f)
+            if not report.widest:  # no search ran
+                continue
+            before = (explorer.placed, len(explorer.by_id))
+            again, explored, _ = explorer.search(s.state_budget)
+            assert (again.status, again.word, explored, explorer.bound_raises) == \
+                (report.verdict.status, report.verdict.word, 0, 0)
+            assert (explorer.placed, len(explorer.by_id)) == before
+            searches += 1
+            after_raise += report.bound_raises > 0
+    assert searches > 100 and after_raise >= 5
 
 
 _PINNED_STREAMS = {
@@ -1010,6 +1031,9 @@ def test_drop_keeps_the_stored_edges_of_the_states_it_keeps():
     explorer.drop_components(1)
     # the arity-1 root's edges name arity-1 states the drop keeps
     assert (explorer.held, explorer.complete) == (2, 1)
+    # and every state it released left the lists
+    listed = [*explorer.old, *explorer.kept[0], *explorer.kept[1]]
+    assert listed and all(node in explorer.by_id and node.complete for node in listed)
     explorer.add_component(restriction_automaton(1))
     verdict = explorer.search(100)[0]
     assert explorer.replayed == 1
@@ -1017,6 +1041,14 @@ def test_drop_keeps_the_stored_edges_of_the_states_it_keeps():
     for track in (0, 1):
         fresh.add_component(restriction_automaton(track))
     assert verdict.witness == fresh.search(100)[0].witness == [(1, 1)]
+
+
+def test_an_automaton_added_twice_is_one_component():
+    explorer = ProductExplorer()
+    for _ in range(2):
+        explorer.add_component(restriction_automaton(0))
+    explorer.drop_components(1)
+    assert len(explorer.components) == 1 and explorer.components[0].dfa in explorer.dfas
 
 
 def test_drop_releases_kept_edges_that_name_a_dropped_state():

@@ -59,6 +59,13 @@ def test_parse_error_position_after_newline(text, line, col):
     ("x in Y )", 1, 8, "expected end of input, found ')'"),
     ("x = y + 2", 1, 9, "expected '1', found '2'"),
     ("x y", 1, 3, "expected 'in', 'sub', '<' or '=', found 'y'"),
+    ("x", 1, 2, "expected 'in', 'sub', '<' or '='"),
+    ("x =", 1, 4, "expected a variable name"),
+    ("x = y +", 1, 8, "expected a number"),
+    ("x = y + x", 1, 9, "expected a number, found 'x'"),
+    ("x = y + 1 + 1", 1, 11, "expected end of input, found '+'"),
+    ("x in Y + 1", 1, 8, "expected end of input, found '+'"),  # only '=' goes on to '+ 1'
+    ("x < y + 1", 1, 7, "expected end of input, found '+'"),
 ])
 def test_parse_error_branches(text, line, col, message):
     with pytest.raises(ParseError) as exc:
