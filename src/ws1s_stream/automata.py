@@ -659,17 +659,16 @@ def parse_dump(text: str) -> Dfa:
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or lines[0][0] != "dfa" or lines[1][0] != "accepting":
         raise ValueError("not an automaton dump")
-    names = sorted(part.split("=", 1)[0] for part in lines[0][1:])
-    if names != ["initial", "states", "tracks"]:  # each once, or a repeat would override
+    header = [part.partition("=") for part in lines[0][1:]]
+    names = sorted(name + eq for name, eq, _ in header)
+    if names != ["initial=", "states=", "tracks="]:  # each once, or a repeat would override
         raise ValueError(f"dump header needs tracks=, states= and initial=, has {names}")
-    fields = dict(part.split("=", 1) for part in lines[0][1:])
-    if fields["tracks"]:
-        tracks = make_tracks(
-            (int(i), Kind(int(k)))
-            for i, k in (pair.split(":") for pair in fields["tracks"].split(","))
-        )
-    else:
-        tracks = ()
+    fields = {name: value for name, _, value in header}
+    pairs = [entry.split(":") for entry in fields["tracks"].split(",")] if fields["tracks"] else []
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"dump track {':'.join(pair)!r} is not an index:kind pair")
+    tracks = make_tracks((int(i), Kind(int(k))) for i, k in pairs)
     num_states = int(fields["states"])
     if not 1 <= num_states <= len(lines) - 2:  # every state of a total automaton has a cube
         raise ValueError(f"a dump of {len(lines) - 2} transitions cannot have {num_states} states")
@@ -677,9 +676,9 @@ def parse_dump(text: str) -> Dfa:
     accepting = frozenset(int(s) for s in lines[1][1:])
     edges: dict[int, list[tuple[str, int]]] = {}
     for parts in lines[2:]:
-        keyword, src, cube, dst = parts
-        if keyword != "trans" or not 0 <= int(src) < num_states:
+        if len(parts) != 4 or parts[0] != "trans" or not 0 <= int(parts[1]) < num_states:
             raise ValueError(f"not a transition of a {num_states}-state dump: {' '.join(parts)!r}")
+        _, src, cube, dst = parts
         edges.setdefault(int(src), []).append(("" if cube == "-" else cube, int(dst)))
     dfa = make_dfa(tracks, num_states, initial, accepting, edges)
     dfa.audit()  # overlapping, missing or malformed cubes are rejected here

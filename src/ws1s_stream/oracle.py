@@ -194,9 +194,14 @@ def interpretation_from_word(
 ) -> Interpretation:
     """Decode a word over variable tracks into the model it denotes.
 
-    ``variables[i]`` labels bit ``i`` of every symbol.  First-order
-    tracks must carry exactly one 1-bit.
+    ``variables[i]`` labels bit ``i`` of every symbol, so every symbol
+    holds one 0/1 bit per variable.  First-order tracks must carry exactly
+    one 1-bit.
     """
+    for p, sym in enumerate(symbols):
+        if len(sym) != len(variables) or any(bit not in (0, 1) for bit in sym):
+            raise ValueError(f"symbol {p} is {tuple(sym)}, expected one 0/1 bit for each "
+                             f"of {len(variables)} variables")
     length = len(symbols)
     fo: dict[str, int] = {}
     so: dict[str, frozenset[int]] = {}

@@ -759,6 +759,21 @@ def test_parse_dump_rejects_malformed_dumps(text):
         parse_dump(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dfa tracks= states initial=0\naccepting 0\ntrans 0 - 0\n",
+     r"dump header needs tracks=, states= and initial=, has \['initial=', 'states', "),
+    ("dfa tracks= states=1 initial=0\naccepting 0\ntrans 0 -\n",
+     "not a transition of a 1-state dump: 'trans 0 -'"),
+    ("dfa tracks= states=1 initial=0\naccepting 0\ntrans 0 - 0 9\n",
+     "not a transition of a 1-state dump: 'trans 0 - 0 9'"),
+    (_HEADER.replace("0:2", "0") + "accepting 0\ntrans 0 X 0\n",
+     "dump track '0' is not an index:kind pair"),
+], ids=["field-without-value", "short-trans", "long-trans", "track-without-kind"])
+def test_parse_dump_names_what_is_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_dump(text)
+
+
 def test_parse_dump_checks_the_state_count_before_building_states():
     # a header may claim more states than its dump gives transitions, and
     # the state table is not built for them

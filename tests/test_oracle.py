@@ -119,6 +119,13 @@ def test_word_decoding():
         interpretation_from_word([(1, 0), (1, 0)], [x, Y])
 
 
+@pytest.mark.parametrize("symbols", [[(1,)], [(1, 0, 1)], [(2, 1)]],
+                         ids=["too-narrow", "too-wide", "not-a-bit"])
+def test_word_decoding_rejects_symbols_of_the_wrong_shape(symbols):
+    with pytest.raises(ValueError, match="expected one 0/1 bit for each of 2 variables"):
+        interpretation_from_word(symbols, [x, Y])
+
+
 def _interpretations(variables, k):
     fo_vars = [v for v in variables if v.kind is Kind.FIRST_ORDER]
     so_vars = [v for v in variables if v.kind is Kind.SECOND_ORDER]
