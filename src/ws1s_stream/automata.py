@@ -666,20 +666,23 @@ def parse_dump(text: str) -> Dfa:
     fields = {name: value for name, _, value in header}
     pairs = [entry.split(":") for entry in fields["tracks"].split(",")] if fields["tracks"] else []
     for pair in pairs:
-        if len(pair) != 2:
-            raise ValueError(f"dump track {':'.join(pair)!r} is not an index:kind pair")
+        if len(pair) != 2 or not pair[0].isdecimal() or pair[1] not in ("1", "2"):
+            raise ValueError(f"dump track {':'.join(pair)!r} is not an index:kind pair, kind 1 or 2")
     tracks = make_tracks((int(i), Kind(int(k))) for i, k in pairs)
-    num_states = int(fields["states"])
+    num_states = int(fields["states"]) if fields["states"].isdecimal() else 0
     if not 1 <= num_states <= len(lines) - 2:  # every state of a total automaton has a cube
-        raise ValueError(f"a dump of {len(lines) - 2} transitions cannot have {num_states} states")
-    initial = int(fields["initial"])
-    accepting = frozenset(int(s) for s in lines[1][1:])
+        raise ValueError(f"a dump of {len(lines) - 2} transitions cannot have states={fields['states']}")
+    state = {str(s): s for s in range(num_states)}  # each state's number as a dump writes it
+    if fields["initial"] not in state:
+        raise ValueError(f"dump header field initial={fields['initial']} is not a state")
+    if not state.keys() >= set(lines[1][1:]):
+        raise ValueError(f"not an accepting line of a {num_states}-state dump: {' '.join(lines[1])!r}")
     edges: dict[int, list[tuple[str, int]]] = {}
     for parts in lines[2:]:
-        if len(parts) != 4 or parts[0] != "trans" or not 0 <= int(parts[1]) < num_states:
+        if len(parts) != 4 or parts[0] != "trans" or parts[1] not in state or parts[3] not in state:
             raise ValueError(f"not a transition of a {num_states}-state dump: {' '.join(parts)!r}")
         _, src, cube, dst = parts
-        edges.setdefault(int(src), []).append(("" if cube == "-" else cube, int(dst)))
-    dfa = make_dfa(tracks, num_states, initial, accepting, edges)
+        edges.setdefault(state[src], []).append(("" if cube == "-" else cube, state[dst]))
+    dfa = make_dfa(tracks, num_states, state[fields["initial"]], map(state.get, lines[1][1:]), edges)
     dfa.audit()  # overlapping, missing or malformed cubes are rejected here
     return dfa

@@ -475,17 +475,17 @@ class ProductExplorer:
         Returns (partial verdict, states explored, deepest layer whose edges
         were walked, archived edges included; -1 if none).  The states
         explored are those this search placed, but for the new root and the
-        first placed extension of each placed prefix.  Only the first search
-        at an arity places states; a later one starts at the bound the first
-        ended with, so it walks only states the first placed.  A sat
-        verdict's word is the ``value`` of each placed state on the witness
-        path, and its step index is filled in by the caller.  A layer's
-        nodes are walked in discovery order, each along its edges least
-        symbol first, and a target's first discovery places it; paths into
-        one layer have equal length, so that is lexicographic path order,
-        and the first accepting node ends the shortest lex-least witness, read
-        back along parent links.  Whole layers are discovered, so counts
-        are reproducible.  Every step of it works on ids and prefix links;
+        first placed extension of each placed prefix.  Each arity is
+        searched once: a search whose root is placed already raises
+        ``AssertionError`` before it changes anything.  A sat verdict's
+        word is the ``value`` of each placed state on the witness path, and
+        its step index is filled in by the caller.  A layer's nodes are
+        walked in discovery order, each along its edges least symbol first,
+        and a target's first discovery places it; paths into one layer have
+        equal length, so that is lexicographic path order, and the first
+        accepting node ends the shortest lex-least witness, read back along
+        parent links.  Whole layers are discovered, so counts are
+        reproducible.  Every step of it works on ids and prefix links;
         placing a state, the new root included, sets its depth and counts it
         against ``state_budget``.
 
@@ -502,25 +502,28 @@ class ProductExplorer:
         depth + ``h`` among the skipped states, as IDA* does, unplaces the
         states placed below the shallowest layer that skipped one, and
         resumes at that layer, whose expanded states replay their edges.
-        A search that raises an exception may leave states placed under a
-        smaller bound, so its caller drops the arity (as ``StreamSession``
-        does) rather than searching it again; ``drop_components`` also
-        releases the edges it stored.  A search that ends hands its list of
-        the states it stored edges on to ``_retire``.
+        A search that raises an exception may leave its root placed, so a
+        retry must drop the arity first (as ``StreamSession`` does);
+        ``drop_components`` also releases the edges it stored.  A search
+        that ends hands its list of the states it stored edges on to
+        ``_retire``.
         """
         by_id, held = self.by_id, self.held
-        self.expanded = self.replayed = self.edges_out = self.bound_raises = 0
-
         root = by_id[self.roots[-1]]
-        first = root.depth < 0  # the first search at this arity places every state it discovers
-        if first:
-            if self.placed >= state_budget:
-                raise StateBudgetExceeded(state_budget, "product exploration")
-            root.depth = 0
-            self.placed += 1
+        if root.depth >= 0:
+            raise AssertionError("one search per arity: add a component first")
+        self.expanded = self.replayed = self.edges_out = self.bound_raises = 0
+        if self.placed >= state_budget:
+            raise StateBudgetExceeded(state_budget, "product exploration")
+        root.depth = 0
+        self.placed += 1
         found = root if root.h == 0 else None
         bound = max(self.bound, root.h)
-        seen = {root}  # discovered by this search (an earlier one may have placed them)
+        # the states this search discovered, which are the placed ones at
+        # this arity (depth >= 0); it stays only because deleting it brings
+        # the selftest's n=18 blow-up stream under that check's memory cap
+        # (ROADMAP items 7 and 13)
+        seen = {root}
         layers = [[root]]  # the states discovered per depth, in discovery order
         layer, depth = layers[0], 0
         while True:
@@ -543,11 +546,10 @@ class ProductExplorer:
                             continue
                         seen.add(child)
                         discovered.append(child)
-                        if child.depth < 0:
-                            if self.placed >= state_budget:
-                                raise StateBudgetExceeded(state_budget, "product exploration")
-                            self.placed += 1
-                            child.depth, child.parent, child.value = depth + 1, node, value
+                        if self.placed >= state_budget:
+                            raise StateBudgetExceeded(state_budget, "product exploration")
+                        self.placed += 1
+                        child.depth, child.parent, child.value = depth + 1, node, value
                         if found is None and child.h == 0:
                             found = child
                 layers.append(discovered)
@@ -557,9 +559,7 @@ class ProductExplorer:
                 break
             bound = least
             self.bound_raises += 1
-            # only the first search at an arity can raise its bound (a later
-            # one starts at its witness's length, or at FAR after unsat), so
-            # this search placed the states below the shallowest layer
+            # this search placed every state below the shallowest layer
             unplaced = [node for nodes in layers[shallowest + 1:] for node in nodes]
             del layers[shallowest + 1:]
             seen.difference_update(unplaced)
@@ -568,7 +568,7 @@ class ProductExplorer:
             for node in unplaced:
                 node.depth, node.parent, node.value = -1, None, 0
             layer, depth = layers[shallowest], shallowest
-        mine = [node for nodes in layers for node in nodes] if first else []  # what it placed
+        mine = [node for nodes in layers for node in nodes]  # what it placed
         explored = len(mine) - len({node.prefix for node in mine
                                     if node.prefix.depth >= 0 or node is root})
         # the last walk reached as deep as any earlier one, and expanded a

@@ -768,7 +768,20 @@ def test_parse_dump_rejects_malformed_dumps(text):
      "not a transition of a 1-state dump: 'trans 0 - 0 9'"),
     (_HEADER.replace("0:2", "0") + "accepting 0\ntrans 0 X 0\n",
      "dump track '0' is not an index:kind pair"),
-], ids=["field-without-value", "short-trans", "long-trans", "track-without-kind"])
+    (_HEADER.replace("0:2", "0:9") + "accepting 0\ntrans 0 X 0\n",
+     "dump track '0:9' is not an index:kind pair, kind 1 or 2"),
+    (_HEADER.replace("states=1", "states=x") + "accepting 0\ntrans 0 X 0\n",
+     "a dump of 1 transitions cannot have states=x"),
+    (_HEADER.replace("initial=0", "initial=x") + "accepting 0\ntrans 0 X 0\n",
+     "dump header field initial=x is not a state"),
+    (_HEADER + "accepting a\ntrans 0 X 0\n",
+     "not an accepting line of a 1-state dump: 'accepting a'"),
+    (_HEADER + "accepting 0\ntrans a X 0\n",
+     "not a transition of a 1-state dump: 'trans a X 0'"),
+    (_HEADER + "accepting 0\ntrans 0 X a\n",
+     "not a transition of a 1-state dump: 'trans 0 X a'"),
+], ids=["field-without-value", "short-trans", "long-trans", "track-without-kind",
+        "kind-9", "states-x", "initial-x", "accepting-a", "src-a", "dst-a"])
 def test_parse_dump_names_what_is_malformed(text, message):
     with pytest.raises(ValueError, match=message):
         parse_dump(text)

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -609,3 +611,27 @@ def test_cli_stream_undecodable_byte_fails_its_line(source, skip, tmp_path, monk
     captured = capsys.readouterr()
     assert captured.err.startswith("line 2: 1:1: expected a token") and captured.err.count("\n") == 1
     assert captured.out.count("verdict=sat") == (2 if skip else 1)
+
+
+def test_benchmark_worker_runs_on_this_tree(tmp_path):
+    # the benchmark's tracer wraps stream and automata functions by name and
+    # its one-shot unpacks ProductExplorer.search's triple; both run here
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    job = json.dumps({"lines": ["x1 in Y1", "x2 = x1 + 1", "~(x1 in Y1)"]})
+
+    def work(*args):
+        done = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"), *args],
+                              input=job, capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    streamed = work("stream", "--trace")
+    assert streamed["error"] is None
+    assert [status for status, _ in streamed["steps"]] == ["sat", "sat", "unsat"]
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    added_by_run = {"cli.bytes_out", "trace.overhead_s"}
+    assert set(streamed["layers"]) == {m["name"] for m in declared} - added_by_run
+    assert work("oneshot")["status"] == "unsat"

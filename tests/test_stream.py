@@ -537,18 +537,17 @@ def test_ill_kinded_push_raises_before_any_memo_lookup(warm):
     assert [s.registry.name_of(i) for i in range(len(s.registry))] == registry
 
 
-def test_second_search_at_the_same_arity_keeps_the_verdict():
-    # nodes an earlier search archived at this arity are reused, not
-    # taken for nodes this search has already placed
-    for lines in (["x in Y"], ["x in Y", "y < x"]):
-        s = StreamSession()
-        for line in lines:
-            verdict = s.push(parse(line)).verdict
-        again, created, _ = s.explorer.search(100)
-        assert (again.status, again.witness, created) == ("sat", verdict.witness, 0)
-    # only the first search at an arity places states, also when it raised
-    # its bound, as every succ push after the first does: a second one
-    # places, interns and explores nothing, and raises no bound
+def test_second_search_at_the_same_arity_raises_and_changes_nothing():
+    # each arity is searched once: a second search raises before it resets
+    # a counter or places a state, also after the first raised its bound,
+    # as every succ push after the first does
+    def state(explorer):
+        return (explorer.placed, len(explorer.by_id), len(explorer.ids), explorer.held,
+                explorer.complete, explorer.bound, list(explorer.old),
+                [list(nodes) for nodes in explorer.kept], list(explorer.archived),
+                explorer.expanded, explorer.replayed, explorer.edges_out, explorer.skipped,
+                explorer.bound_raises, explorer.widest)
+
     rng = random.Random(11)
     streams = [_succ_chain(6)] + [_random_stream(rng, 5) for _ in range(100)]
     searches = after_raise = 0
@@ -559,14 +558,29 @@ def test_second_search_at_the_same_arity_keeps_the_verdict():
             report = s.push(f)
             if not report.widest:  # no search ran
                 continue
-            before = (explorer.placed, len(explorer.by_id))
-            again, explored, _ = explorer.search(s.state_budget)
-            assert (again.status, again.word, explored, explorer.bound_raises) == \
-                (report.verdict.status, report.verdict.word, 0, 0)
-            assert (explorer.placed, len(explorer.by_id)) == before
+            before = state(explorer)
+            with pytest.raises(AssertionError, match="one search per arity"):
+                explorer.search(s.state_budget)
+            assert state(explorer) == before
             searches += 1
             after_raise += report.bound_raises > 0
     assert searches > 100 and after_raise >= 5
+    # the empty product is placed from the start
+    with pytest.raises(AssertionError, match="one search per arity"):
+        ProductExplorer().search(10)
+    # a search that raised leaves its root placed, so a retry needs a drop
+    explorer, fresh = ProductExplorer(), ProductExplorer()
+    for track in (0, 1, 2):
+        explorer.add_component(restriction_automaton(track))
+        fresh.add_component(restriction_automaton(track))
+    with pytest.raises(StateBudgetExceeded):
+        explorer.search(3)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="one search per arity"):
+            explorer.search(100)
+    explorer.drop_components(2)
+    explorer.add_component(restriction_automaton(2))
+    assert explorer.search(100)[0] == fresh.search(100)[0]
 
 
 _PINNED_STREAMS = {
