@@ -27,7 +27,7 @@ from .compiler import compile_formula
 from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
 from .oracle import sat_bounded
 from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession
-from .syntax import free_vars, parse
+from .syntax import parse
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -106,8 +106,6 @@ def cmd_compile(args) -> int:
     fresh session."""
     formula = parse(args.formula)
     session = _session()
-    for v in free_vars(formula):
-        session.registry.register(v)
     dfa = compile_formula(formula, session.registry, session.cache,
                           determinize_budget=session.determinize_budget)
     text = dump(dfa)

@@ -77,51 +77,39 @@ class TrackRegistry:
     """Stable variable-name to track-index mapping for one formula stream."""
 
     def __init__(self):
-        self._free: dict[str, tuple[int, Kind]] = {}
-        self._names: dict[int, str] = {}
+        self._vars: list[VarId] = []  # by track index
+        self._index: dict[str, int] = {}
 
     def register(self, var: VarId) -> int:
-        entry = self._free.get(var.name)
-        if entry is not None:
-            index, kind = entry
-            if kind is not var.kind:
-                raise KindConflict(
-                    f"{var.name} already registered as {kind.name}, now used as {var.kind.name}"
-                )
-            return index
-        index = len(self._free)
-        self._free[var.name] = (index, var.kind)
-        self._names[index] = var.name
-        return index
-
-    def track_of(self, var: VarId) -> int:
-        entry = self._free.get(var.name)
-        if entry is None:
-            raise UnboundTrack(f"no track registered for {var.name}")
-        index, kind = entry
-        if kind is not var.kind:
-            raise KindConflict(
-                f"{var.name} registered as {kind.name}, referenced as {var.kind.name}"
-            )
+        """``var``'s track, handed out on first sight; a name seen with the
+        other kind raises ``KindConflict``."""
+        index = self._index.get(var.name)
+        if index is None:
+            index = self._index[var.name] = len(self._vars)
+            self._vars.append(var)
+        elif self._vars[index].kind is not var.kind:
+            raise KindConflict(f"{var.name} already registered as "
+                               f"{self._vars[index].kind.name}, now used as {var.kind.name}")
         return index
 
     def name_of(self, index: int) -> str:
-        return self._names[index]
+        return self._vars[index].name
 
     def __len__(self) -> int:
         """Number of registered free variables."""
-        return len(self._free)
+        return len(self._vars)
 
     def unregister_after(self, count: int) -> None:
         """Forget every free variable registered after the first ``count``.
 
         Their indices are handed out again.  That is sound: memo keys
         name tracks by rank, not index, and a bound variable's track is
-        chosen at compile time above every free track, so unique indices
-        only keep the tracks of one compile apart.
+        chosen at compile time above every track in its scope, so unique
+        indices only keep the tracks of one compile apart.
         """
-        for name in list(self._free)[count:]:
-            del self._names[self._free.pop(name)[0]]
+        for var in self._vars[count:]:
+            del self._index[var.name]
+        del self._vars[count:]
 
 
 class MemoCache:
@@ -239,19 +227,22 @@ def compile_formula(
 ) -> Dfa:
     """Minimal automaton whose language is the set of models of ``f``.
 
-    Every free variable must already be registered.  Satisfiability of
-    ``f`` is emptiness of the result; a shortest accepted word decodes to
-    a smallest model.  A top-level ``&`` chain is the product of its
-    distinct restricted parts, in text order; minimal automata are
+    Each free variable is registered on first sight, in the order of
+    ``free_vars(f)``; a compile that raises may leave those of earlier
+    parts registered.  Satisfiability of ``f`` is emptiness of the
+    result; a shortest accepted word decodes to a smallest model.  A
+    top-level ``&`` chain is split before anything recurses over it, so
+    a chain of any length compiles; the result is the product of its
+    distinct restricted parts, in text order, and minimal automata are
     canonical, so it is the automaton of the chain built whole.  Without
     ``cache``, the compile looks its shapes up in a fresh cache of its own.
     """
     if cache is None:
         cache = MemoCache()
-    f = normalize(f)
-    env = {v.name: registry.track_of(v) for v in free_vars(f)}
     parts: list[Dfa] = []
     for part in conjuncts(f):
+        part = normalize(part)
+        env = {v.name: registry.register(v) for v in free_vars(part)}
         dfa = _restricted(part, env, cache, determinize_budget)
         if dfa not in parts:  # L & L = L
             parts.append(dfa)

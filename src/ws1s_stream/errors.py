@@ -44,7 +44,7 @@ class ArityMismatch(WsError):
 
 
 class UnboundTrack(WsError):
-    """A formula variable has no track assigned in the registry."""
+    """An atom's operand is missing from the track map ``compile_atom`` is given."""
 
 
 class StateBudgetExceeded(WsError):

@@ -100,7 +100,7 @@ from .automata import (
 )
 from .compiler import MemoCache, TrackRegistry, compile_formula, conjuncts
 from .errors import StateBudgetExceeded, TrackKindConflict, WsError
-from .syntax import Formula, free_vars
+from .syntax import Formula
 
 DEFAULT_SESSION_BUDGET = 5_000_000
 
@@ -643,23 +643,20 @@ class StreamSession:
         Each formula adds the parts of its top-level ``&`` chain that no
         component equals yet; every part carries the first-order
         restrictions of its own free variables, so the parts' product
-        accepts the formula's language.  Free variables are registered
-        over the whole formula first, so the union tracks grow in
+        accepts the formula's language.  Compiling the parts in text
+        order registers their free variables, so the union tracks grow in
         first-occurrence order whatever the split.
 
-        A registration, compile or search that raises leaves registered
-        variables, components, reports and explored nodes as they were;
-        only the memo cache keeps what the attempt added to it.  A formula
-        too deep for the passes that recurse over it fails as a ``WsError``.
+        A compile or search that raises leaves registered variables,
+        components, reports and explored nodes as they were; only the memo
+        cache keeps what the attempt added to it.  A formula too deep for
+        the passes that recurse over it fails as a ``WsError``.
         """
         explorer = self.explorer
         kept, registered = len(explorer.components), len(self.registry)
         hits, misses = self.cache.hits, self.cache.misses
         previous = self.current_verdict()
         try:
-            for f in formulas:
-                for v in free_vars(f):
-                    self.registry.register(v)
             t0 = time.perf_counter_ns()
             dfas = [compile_formula(part, self.registry, self.cache,
                                     determinize_budget=self.determinize_budget)

@@ -736,6 +736,27 @@ def test_parse_dump_rejects_overlapping_cubes():
         parse_dump(text)
 
 
+# parse_dump rejects these states itself, so only a hand-built automaton
+# reaches audit's range checks; step's totality check guards a missing cube
+_ONE_TRACK = make_tracks([(0, Kind.SECOND_ORDER)])
+
+
+@pytest.mark.parametrize("dfa, check, error, message", [
+    (make_dfa(_ONE_TRACK, 1, 1, (), {0: [("X", 0)]}), Dfa.audit,
+     ValueError, "initial state out of range"),
+    (make_dfa(_ONE_TRACK, 1, 0, {1}, {0: [("X", 0)]}), Dfa.audit,
+     ValueError, "accepting state out of range"),
+    (make_dfa(_ONE_TRACK, 1, 0, (), {0: [("X", 1)]}), Dfa.audit,
+     ValueError, "dangling transition 0 -> 1"),
+    (make_dfa(_ONE_TRACK, 1, 0, (), {0: [("0", 0)]}), lambda dfa: dfa.step(0, (1,)),
+     AssertionError, "non-total delta at state 0 for (1,)"),
+], ids=["initial", "accepting", "dangling", "non-total"])
+def test_hand_built_automata_fail_their_checks(dfa, check, error, message):
+    with pytest.raises(error) as exc:
+        check(dfa)
+    assert str(exc.value) == message
+
+
 _HEADER = "dfa tracks=0:2 states=1 initial=0\n"
 
 

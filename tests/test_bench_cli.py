@@ -351,13 +351,16 @@ def test_stream_command_deep_nesting_fails_its_line(skip):
 
 
 # formulas that parse (the parser builds & and | chains in a loop) but are
-# too deep for the passes that recurse over the tree
+# too deep for the passes that recurse over the tree; a top-level & chain is
+# split before any of them, so the & cases negate the chain
 _LONG_AND = " & ".join(["x in Y"] * 1000)
+_NEGATED_AND = f"~({_LONG_AND})"
 _LONG_OR = " | ".join(["x in Y"] * 400)
 
 
 @pytest.mark.parametrize("argv, text", [
-    (["check"], _LONG_AND), (["compile"], _LONG_AND), (["oracle", "check", "--k", "2"], _LONG_AND),
+    (["check"], _NEGATED_AND), (["compile"], _NEGATED_AND),
+    (["oracle", "check", "--k", "2"], _LONG_AND),
     (["check"], _LONG_OR), (["compile"], _LONG_OR),
     # the oracle evaluates the 400 disjuncts within the stack; it has no case here
 ], ids=["check-and", "compile-and", "oracle-and", "check-or", "compile-or"])
@@ -369,7 +372,7 @@ def test_cli_formula_too_deep_to_compile_exits_2(argv, text, capsys):
 
 
 @pytest.mark.parametrize("skip", [False, True])
-@pytest.mark.parametrize("text", [_LONG_AND, _LONG_OR], ids=["and", "or"])
+@pytest.mark.parametrize("text", [_NEGATED_AND, _LONG_OR], ids=["and", "or"])
 def test_stream_command_formula_too_deep_to_compile_fails_its_line(text, skip):
     code, out, err = _run_stream(f"x in Y\n{text}\ny < x\n", skip_bad_lines=skip)
     assert code == (0 if skip else 2)
@@ -378,6 +381,15 @@ def test_stream_command_formula_too_deep_to_compile_fails_its_line(text, skip):
     assert out.count("\n") == (2 if skip else 1)
     if skip:
         assert out.splitlines()[1].startswith("step=2 verdict=sat")
+
+
+def test_a_flat_chain_of_any_length_checks_compiles_and_streams(capsys):
+    chain = " & ".join(["x in Y"] * 3000)
+    assert main(["check", chain]) == 0
+    assert capsys.readouterr().out == 'sat witness=[{"x":1,"Y":1}]\n'
+    assert main(["compile", chain]) == 0
+    assert capsys.readouterr().out.startswith("states=3 ")
+    assert _run_stream(chain + "\n") == (0, 'step=1 verdict=sat witness=[{"x":1,"Y":1}]\n', "")
 
 
 def test_stream_command_skip_bad_lines_still_stops_at_a_budget_error(monkeypatch):

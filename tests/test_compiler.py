@@ -52,7 +52,7 @@ def test_quantified_membership_equals_bare_restriction():
     f = parse("ex2 Y: x in Y")
     registry = _registry_for(f)
     dfa = compile_formula(f, registry)
-    assert language_equiv(dfa, restriction_automaton(registry.track_of(
+    assert language_equiv(dfa, restriction_automaton(registry.register(
         VarId("x", Kind.FIRST_ORDER))))
     assert language_matches_oracle(f, dfa, registry, max_len=4)
 
@@ -60,14 +60,14 @@ def test_quantified_membership_equals_bare_restriction():
 def test_compile_atom_sub_two_states():
     f = parse("Y sub Z")
     registry = _registry_for(f)
-    env = {v.name: registry.track_of(v) for v in free_vars(f)}
+    env = {v.name: registry.register(v) for v in free_vars(f)}
     assert compile_atom(f, env).num_states == 2
 
 
 def test_compile_atom_membership_accepts_empty_word():
     f = parse("x in Y")
     registry = _registry_for(f)
-    env = {v.name: registry.track_of(v) for v in free_vars(f)}
+    env = {v.name: registry.register(v) for v in free_vars(f)}
     assert accepts(compile_atom(f, env), [])
 
 
@@ -94,10 +94,23 @@ def test_restriction_automaton_exactly_one_bit():
     assert accepts(r, [(0,), (1,), (0,)])
 
 
-def test_unbound_variable_rejected():
-    f = parse("x in Y")
-    with pytest.raises(UnboundTrack):
-        compile_formula(f, TrackRegistry())
+def test_compile_formula_registers_free_variables_in_order():
+    for text in ["x in Y & Z sub Y & y < x", "Z sub Y | x in W", "y < x -> x in Y",
+                 "X sub Y <-> y in Z", "all1 z: z < y & z in Y", "W sub W & (x in Y | Z sub W)"]:
+        f, registry = parse(text), TrackRegistry()
+        compile_formula(f, registry)
+        assert [registry.name_of(i) for i in range(len(registry))] == [
+            v.name for v in free_vars(f)], text
+
+
+def test_compiling_into_an_empty_registry_matches_a_pre_registered_one():
+    rng = random.Random(34)
+    for _ in range(200):
+        f = random_formula(rng)
+        empty, registered = TrackRegistry(), _registry_for(f)
+        assert dump(compile_formula(f, empty)) == dump(compile_formula(f, registered))
+        assert [empty.name_of(i) for i in range(len(empty))] == [
+            registered.name_of(i) for i in range(len(registered))]
 
 
 _Y2, _Z2 = VarId("Y", Kind.SECOND_ORDER), VarId("Z", Kind.SECOND_ORDER)
@@ -126,13 +139,6 @@ def test_registry_kind_conflict():
     registry.register(VarId("w", Kind.FIRST_ORDER))
     with pytest.raises(KindConflict):
         registry.register(VarId("w", Kind.SECOND_ORDER))
-
-
-def test_registry_track_of_rejects_the_other_kind():
-    registry = TrackRegistry()
-    registry.register(VarId("w", Kind.FIRST_ORDER))
-    with pytest.raises(KindConflict, match="w registered as FIRST_ORDER, referenced as SECOND_ORDER"):
-        registry.track_of(VarId("w", Kind.SECOND_ORDER))
 
 
 def test_compositionality_on_random_pairs():
@@ -387,5 +393,5 @@ def test_scratch_tracks_never_escape():
     f = parse("ex2 Y: x in Y & (ex1 z: z in Y)")
     registry = _registry_for(f)
     dfa = compile_formula(f, registry)
-    x_track = registry.track_of(VarId("x", Kind.FIRST_ORDER))
+    x_track = registry.register(VarId("x", Kind.FIRST_ORDER))
     assert [t.index for t in dfa.tracks] == [x_track]

@@ -160,6 +160,9 @@ def test_eval_handles_shadowed_names_in_hand_built_asts():
     inner = Exists(x, Less(x, x))
     outer = Exists(x, And(In(x, Y), Not(inner)))
     assert evaluate(outer, Interpretation(1, {}, {"Y": frozenset({0})}))
+    # the free Y comes back after the ex2 that shadows it: empty, so x is not in it
+    assert not evaluate(And(Exists(Y, In(x, Y)), In(x, Y)),
+                        Interpretation(1, {"x": 0}, {"Y": frozenset()}))
 
 
 def test_oracle_imports_nothing_but_syntax_and_errors():
