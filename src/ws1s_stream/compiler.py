@@ -68,6 +68,7 @@ from .syntax import (
     Succ,
     VarId,
     check_atom_kinds,
+    conjuncts,
     free_vars,
     normalize,
 )
@@ -247,19 +248,6 @@ def compile_formula(
         if dfa not in parts:  # L & L = L
             parts.append(dfa)
     return product(*parts) if len(parts) > 1 else parts[0]
-
-
-def conjuncts(f: Formula) -> list[Formula]:
-    """The parts of ``f``'s top-level ``&`` chain, in text order; a loop,
-    so a chain of any length splits within the interpreter stack."""
-    parts, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            parts.append(g)
-    return parts
 
 
 def _restricted(f: Formula, env: dict[str, int], cache, budget) -> Dfa:

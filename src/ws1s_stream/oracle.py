@@ -39,6 +39,7 @@ from .syntax import (
     Sub,
     Succ,
     VarId,
+    conjuncts,
     free_vars,
     quantifier_count,
 )
@@ -83,7 +84,8 @@ def _eval(f: Formula, fo: dict[str, int], so: dict[str, frozenset[int]], length:
     if isinstance(f, Not):
         return not _eval(f.body, fo, so, length)
     if isinstance(f, And):
-        return _eval(f.left, fo, so, length) and _eval(f.right, fo, so, length)
+        # the chain's parts left to right, stopping at the first false one
+        return all(_eval(part, fo, so, length) for part in conjuncts(f))
     if isinstance(f, Or):
         return _eval(f.left, fo, so, length) or _eval(f.right, fo, so, length)
     if isinstance(f, Implies):

@@ -98,9 +98,9 @@ from .automata import (
     mask_min_symbol,
     mask_rows,
 )
-from .compiler import MemoCache, TrackRegistry, compile_formula, conjuncts
+from .compiler import MemoCache, TrackRegistry, compile_formula
 from .errors import StateBudgetExceeded, TrackKindConflict, WsError
-from .syntax import Formula
+from .syntax import Formula, conjuncts
 
 DEFAULT_SESSION_BUDGET = 5_000_000
 

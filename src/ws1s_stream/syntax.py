@@ -15,6 +15,11 @@ The concrete grammar is a small MONA-flavoured keyword language::
 First-order versus second-order is decided by the binder (``ex1`` vs
 ``ex2``) and, for free variables, by spelling: a lowercase first letter
 means first-order, an uppercase one second-order.
+
+Each rule of this syntax is stated once, and the parser and the printer
+both read it: ``_BINARY`` gives each connective its node, precedence
+and grouping, ``_QUANTIFIERS`` each binder keyword its node and kind,
+and ``_IDENT`` the spelling of a variable name.
 """
 
 from __future__ import annotations
@@ -35,15 +40,16 @@ class Kind(enum.Enum):
         return self.name
 
 
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+
+
 @dataclass(frozen=True)
 class VarId:
     name: str
     kind: Kind
 
-    _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
     def __post_init__(self):
-        if not self._NAME_RE.match(self.name) or self.name in _KEYWORDS:
+        if not re.fullmatch(_IDENT, self.name) or self.name in _KEYWORDS:
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
@@ -155,18 +161,44 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The parts of ``f``'s top-level ``&`` chain, in text order; a loop,
+    so a chain of any length splits within the interpreter stack."""
+    parts, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
+
+
+# --- concrete syntax -------------------------------------------------------
+
+def _iff(left: Formula, right: Formula) -> Formula:
+    return And(Implies(left, right), Implies(right, left))  # sugar: no node of its own
+
+
+# connective token -> (node builder, precedence, groups to the right);
+# a higher precedence binds tighter
+_BINARY = {"<->": (_iff, 0, False), "->": (Implies, 1, True),
+           "|": (Or, 2, False), "&": (And, 3, False)}
+_QUANTIFIERS = {"ex1": (Exists, Kind.FIRST_ORDER), "ex2": (Exists, Kind.SECOND_ORDER),
+                "all1": (Forall, Kind.FIRST_ORDER), "all2": (Forall, Kind.SECOND_ORDER)}
+
+
 # --- tokenizer -------------------------------------------------------------
 
-_KEYWORDS = {"ex1", "ex2", "all1", "all2", "in", "sub"}
+_KEYWORDS = {*_QUANTIFIERS, "in", "sub"}
 _RELATIONS = {"in": In, "sub": Sub, "<": Less, "=": EqFo}  # "x = y + 1" is Succ
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    rf"""(?P<ws>\s+)
+      | (?P<ident>{_IDENT})
       | (?P<num>[0-9]+)
-      | (?P<iff><->)
-      | (?P<arrow>->)
-      | (?P<op>[()&|~<=+:])
+      | (?P<op><->|->|[()&|~<=+:])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -182,29 +214,22 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, "a token", text[pos])
-        lexeme = m.group(0)
+    line, line_start = 1, 0  # the line's number and the offset of its first character
+    for m in _TOKEN_RE.finditer(text):
+        lexeme, col = m.group(), m.start() - line_start + 1
         if m.lastgroup == "ws":
-            for ch in lexeme:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-        else:
-            if m.lastgroup == "ident":
-                ttype = "kw" if lexeme in _KEYWORDS else "ident"
-            else:  # operators, "<->" and "->" included, are typed by their text
-                ttype = "num" if m.lastgroup == "num" else lexeme
-            tokens.append(_Token(ttype, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rindex("\n") + 1
+            continue
+        if m.lastgroup == "bad":
+            raise ParseError(line, col, "a token", lexeme)
+        if m.lastgroup == "ident":
+            ttype = "kw" if lexeme in _KEYWORDS else "ident"
+        else:  # operators, "<->" and "->" included, are typed by their text
+            ttype = "num" if m.lastgroup == "num" else lexeme
+        tokens.append(_Token(ttype, lexeme, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -246,33 +271,16 @@ class _Parser:
             raise ParseError(tok.line, tok.col, "end of input", tok.text)
         return f
 
-    def formula(self) -> Formula:
-        left = self.implies()
-        while self.peek().type == "<->":
-            self.take("<->")
-            right = self.implies()
-            left = And(Implies(left, right), Implies(right, left))
-        return left
-
-    def implies(self) -> Formula:
-        left = self.or_()
-        if self.peek().type == "->":
-            self.take("->")
-            return Implies(left, self.implies())
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
-        while self.peek().type == "|":
-            self.take("|")
-            left = Or(left, self.and_())
-        return left
-
-    def and_(self) -> Formula:
+    def formula(self, least: int = 0) -> Formula:
+        """Operands joined by connectives of precedence ``least`` or more.
+        A right-grouping connective's right operand may hold the same
+        connective again; a left-grouping one's holds only tighter ones,
+        so the loop here takes the next of the same."""
         left = self.unary()
-        while self.peek().type == "&":
-            self.take("&")
-            left = And(left, self.unary())
+        while (op := _BINARY.get(self.peek().type)) and op[1] >= least:
+            build, prec, right_grouping = op
+            self.pos += 1
+            left = build(left, self.formula(prec if right_grouping else prec + 1))
         return left
 
     def unary(self) -> Formula:
@@ -280,12 +288,12 @@ class _Parser:
         if tok.type == "~":
             self.take("~")
             return Not(self.unary())
-        if tok.type == "kw" and tok.text in ("ex1", "ex2", "all1", "all2"):
+        if tok.type == "kw" and tok.text in _QUANTIFIERS:
             return self.quantified()
         return self.atom()
 
     def quantified(self) -> Formula:
-        kw = self.take("kw")
+        binder, kind = _QUANTIFIERS[self.take("kw").text]
         name_tok = self.take("ident")
         name = name_tok.text
         # a name bound in a sibling scope may be bound again; one in scope
@@ -293,7 +301,6 @@ class _Parser:
         if name in self.scope or name in self.free_seen:
             raise ParseError(name_tok.line, name_tok.col,
                              "a fresh variable name (shadowing is not allowed)", name)
-        kind = Kind.FIRST_ORDER if kw.text.endswith("1") else Kind.SECOND_ORDER
         var = VarId(name, kind)
         self.take(":")
         self.scope[name] = var
@@ -302,7 +309,7 @@ class _Parser:
             body = self.formula()
         finally:
             del self.scope[name]
-        return Exists(var, body) if kw.text.startswith("ex") else Forall(var, body)
+        return binder(var, body)
 
     def variable(self) -> tuple[VarId, _Token]:
         tok = self.take("ident")
@@ -352,28 +359,25 @@ def parse(text: str) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_ATOM = 5
+# the two tables read backwards; a binder's body extends as far right as
+# it can, so a quantifier prints at the loosest precedence, 0, and ~ and
+# atoms bind tighter than every connective
+_CONNECTIVES = {build: (tok, prec, right) for tok, (build, prec, right) in _BINARY.items()
+                if build is not _iff}
+_BINDERS = {quantifier: kw for kw, quantifier in _QUANTIFIERS.items()}
+_PREC_NOT, _PREC_ATOM = 4, 5
 
 
 def _print(f: Formula, ctx: int) -> str:
     match f:
         case Not(body):
             s, p = "~" + _print(body, _PREC_NOT), _PREC_NOT
-        case And(left, right):
-            s, p = f"{_print(left, _PREC_AND)} & {_print(right, _PREC_AND + 1)}", _PREC_AND
-        case Or(left, right):
-            s, p = f"{_print(left, _PREC_OR)} | {_print(right, _PREC_OR + 1)}", _PREC_OR
-        case Implies(left, right):
-            s, p = f"{_print(left, _PREC_IMPLIES + 1)} -> {_print(right, _PREC_IMPLIES)}", _PREC_IMPLIES
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            tok, p, right_grouping = _CONNECTIVES[type(f)]
+            # the operand on the grouping side may sit at p, the other binds tighter
+            s = f"{_print(left, p + right_grouping)} {tok} {_print(right, p + (not right_grouping))}"
         case Exists(var, body) | Forall(var, body):
-            kw = ("ex" if isinstance(f, Exists) else "all") + \
-                ("1" if var.kind is Kind.FIRST_ORDER else "2")
-            s, p = f"{kw} {var.name}: {_print(body, _PREC_QUANT)}", _PREC_QUANT
+            s, p = f"{_BINDERS[type(f), var.kind]} {var.name}: {_print(body, 0)}", 0
         case _:
             children(f)  # only atoms are left; anything else raises there
             s, p = f.text.format(f.x.name, f.y.name), _PREC_ATOM
@@ -382,7 +386,7 @@ def _print(f: Formula, ctx: int) -> str:
 
 def print_formula(f: Formula) -> str:
     """Render an AST back to concrete syntax with minimal parentheses."""
-    return _print(f, _PREC_QUANT)
+    return _print(f, 0)
 
 
 # --- normalization ---------------------------------------------------------
@@ -419,7 +423,8 @@ def free_vars(f: Formula) -> list[VarId]:
                     seen.append(v)
         elif isinstance(node, (Exists, Forall)):
             bound = bound | {node.var.name}
-        for sub in children(node):
+        # an & chain is split by a loop, so one of any length fits the stack
+        for sub in conjuncts(node) if isinstance(node, And) else children(node):
             visit(sub, bound)
 
     visit(f, frozenset())

@@ -28,7 +28,6 @@ from ws1s_stream.syntax import (
     Sub,
     Succ,
     VarId,
-    free_vars,
 )
 
 FO_NAMES = ("x", "y")
@@ -129,8 +128,6 @@ def random_formula(rng: random.Random, max_depth: int = 3) -> Formula:
 
 def compiled(f: Formula) -> tuple[Dfa, TrackRegistry]:
     registry = TrackRegistry()
-    for v in free_vars(f):
-        registry.register(v)
     return compile_formula(f, registry), registry
 
 

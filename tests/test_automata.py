@@ -45,26 +45,18 @@ from ws1s_stream.compiler import (
     restriction_automaton,
 )
 from ws1s_stream.errors import ArityMismatch, StateBudgetExceeded, TrackKindConflict, UnknownTrack
-from ws1s_stream.syntax import Kind, free_vars, parse
+from ws1s_stream.syntax import Kind, parse
 
 
 def _compile(text: str):
-    f = parse(text)
-    registry = TrackRegistry()
-    for v in free_vars(f):
-        registry.register(v)
-    return compile_formula(f, registry)
+    return compile_formula(parse(text), TrackRegistry())
 
 
 def _compile_shared(*texts: str):
     """Compile several formulas against one registry (disjoint names get
     disjoint tracks, shared names share them)."""
-    formulas = [parse(t) for t in texts]
     registry = TrackRegistry()
-    for f in formulas:
-        for v in free_vars(f):
-            registry.register(v)
-    return [compile_formula(f, registry) for f in formulas]
+    return [compile_formula(parse(t), registry) for t in texts]
 
 
 @pytest.fixture(scope="module")
@@ -406,8 +398,6 @@ def test_product_equals_minimized_intersection():
     for _ in range(150):
         f, g = random_formula(rng), random_formula(rng)
         registry = TrackRegistry()
-        for v in free_vars(f) + free_vars(g):
-            registry.register(v)
         a, b = compile_formula(f, registry), compile_formula(g, registry)
         pairs = [(a, b), (b, a), (a, a), _interleaved(a, b), (a, rng.choice(width0)),
                  (rng.choice(width0), b)]
@@ -453,9 +443,6 @@ def test_k_ary_product_equals_the_pairwise_fold_on_compiled_operands():
     for _ in range(120):
         formulas = [random_formula(rng) for _ in range(rng.randint(1, 5))]
         registry = TrackRegistry()
-        for f in formulas:
-            for v in free_vars(f):
-                registry.register(v)
         dfas = [compile_formula(f, registry) for f in formulas]
         padded = list(dfas)
         padded.insert(rng.randrange(len(dfas) + 1), rng.choice(width0))

@@ -332,7 +332,7 @@ def test_cli_check_honours_the_exploration_budget(budget, code, monkeypatch, cap
     assert ("product exploration" in err) == (code == 3)
 
 
-_DEEP = "(" * 200 + "x in Y" + ")" * 200
+_DEEP = "(" * 2000 + "x in Y" + ")" * 2000
 
 
 def test_cli_check_deep_nesting_exits_2(capsys):
@@ -356,13 +356,16 @@ def test_stream_command_deep_nesting_fails_its_line(skip):
 _LONG_AND = " & ".join(["x in Y"] * 1000)
 _NEGATED_AND = f"~({_LONG_AND})"
 _LONG_OR = " | ".join(["x in Y"] * 400)
+# the oracle splits every & chain and evaluates 400 disjuncts within the
+# stack, so its case puts a 1,000-part | chain inside a conjunct: splitting
+# the chain must still report the too-deep part
+_AND_OVER_LONG_OR = "x in Y & (" + " | ".join(["x in Y"] * 1000) + ")"
 
 
 @pytest.mark.parametrize("argv, text", [
     (["check"], _NEGATED_AND), (["compile"], _NEGATED_AND),
-    (["oracle", "check", "--k", "2"], _LONG_AND),
+    (["oracle", "check", "--k", "2"], _AND_OVER_LONG_OR),
     (["check"], _LONG_OR), (["compile"], _LONG_OR),
-    # the oracle evaluates the 400 disjuncts within the stack; it has no case here
 ], ids=["check-and", "compile-and", "oracle-and", "check-or", "compile-or"])
 def test_cli_formula_too_deep_to_compile_exits_2(argv, text, capsys):
     assert main(argv + [text]) == 2
@@ -390,6 +393,8 @@ def test_a_flat_chain_of_any_length_checks_compiles_and_streams(capsys):
     assert main(["compile", chain]) == 0
     assert capsys.readouterr().out.startswith("states=3 ")
     assert _run_stream(chain + "\n") == (0, 'step=1 verdict=sat witness=[{"x":1,"Y":1}]\n', "")
+    assert main(["oracle", "check", "--k", "1", chain]) == 0
+    assert capsys.readouterr().out == "sat k=1 first_order={'x': 0} second_order={'Y': [0]}\n"
 
 
 def test_stream_command_skip_bad_lines_still_stops_at_a_budget_error(monkeypatch):

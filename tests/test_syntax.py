@@ -209,6 +209,25 @@ def test_parse_print_round_trip_on_random_formulas():
         assert print_formula(parse(text)) == text
 
 
+_LOOSEST_FIRST = ["<->", "->", "|", "&"]
+
+
+@pytest.mark.parametrize("op2", _LOOSEST_FIRST)
+@pytest.mark.parametrize("op1", _LOOSEST_FIRST)
+def test_two_connectives_round_trip_grouped_either_way(op1, op2):
+    a, b, c = "x in Y", "y in Y", "x < y"
+    left, right = parse(f"({a} {op1} {b}) {op2} {c}"), parse(f"{a} {op1} ({b} {op2} {c})")
+    # unparenthesized, the tighter connective takes the middle operand; on
+    # a tie, only -> groups to the right
+    tighter_first = _LOOSEST_FIRST.index(op1) > _LOOSEST_FIRST.index(op2)
+    tie_left = op1 == op2 != "->"
+    assert parse(f"{a} {op1} {b} {op2} {c}") == (left if tighter_first or tie_left else right)
+    for tree in (left, right):
+        text = print_formula(tree)
+        assert parse(text) == tree
+        assert print_formula(parse(text)) == text
+
+
 def test_print_parse_identity_up_to_whitespace():
     for text in ["x in Y", "ex2 Y: x in Y", "~(x in Y & x in Z)", "x = y + 1"]:
         assert " ".join(print_formula(parse(text)).split()) == " ".join(text.split())
@@ -250,4 +269,15 @@ def test_deep_nesting_is_a_parse_error():
     # no depth cap: what fits on the interpreter stack parses
     assert parse("~" * 900 + "x in Y") is not None
     with pytest.raises(ParseError, match="nested less deeply"):
-        parse("(" * 200 + "x in Y" + ")" * 200)
+        parse("(" * 2000 + "x in Y" + ")" * 2000)
+
+
+@pytest.mark.parametrize("nested", [
+    lambda n: "(" * n + "x in Y" + ")" * n,
+    lambda n: "".join(f"ex1 z{i}: " for i in range(n)) + "z0 in Y",
+], ids=["parentheses", "binders"])
+def test_200_levels_of_nesting_parse_and_2000_are_a_parse_error(nested):
+    # a level takes three parser frames: formula, unary, then atom or quantified
+    assert parse(nested(200)) is not None
+    with pytest.raises(ParseError, match="nested less deeply"):
+        parse(nested(2000))
