@@ -16,12 +16,20 @@ gets room for set members around the positions its first-order
 subquantifiers may pick.  The margins are relative to the *current*
 support, which grows as outer witnesses are placed, so nested quantifiers
 can build chains stepwise.
+
+Both kinds of variable take their values from one lazy enumeration,
+``_candidates``: positions in order, or sets of positions in
+ascending-bitmask order, built one at a time.  A quantifier in ``_eval``
+shadows its name in the first- or second-order table, loops over the
+candidates and restores the table; ``sat_bounded`` runs an odometer of
+candidate iterators over the free variables, first-order ones first.
+Both are plain loops, so no call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationBudgetExceeded, UnassignedVariable
 from .syntax import (
@@ -70,6 +78,16 @@ def _so_margin(body: Formula) -> int:
     return 2 * quantifier_count(body, Kind.FIRST_ORDER) + 2
 
 
+def _candidates(kind: Kind, horizon: int) -> Iterator[tuple[int | frozenset[int], int]]:
+    """The values a variable of ``kind`` takes below ``horizon``, one at a
+    time, each paired with one past its largest position: the positions in
+    order, or the sets of positions in ascending-bitmask order."""
+    if kind is Kind.FIRST_ORDER:
+        return zip(range(horizon), range(1, horizon + 1))
+    return ((frozenset(p for p in range(horizon) if mask >> p & 1), mask.bit_length())
+            for mask in range(1 << horizon))
+
+
 def _eval(f: Formula, fo: dict[str, int], so: dict[str, frozenset[int]], length: int) -> bool:
     if isinstance(f, In):
         return fo[f.x.name] in so[f.y.name]
@@ -93,33 +111,20 @@ def _eval(f: Formula, fo: dict[str, int], so: dict[str, frozenset[int]], length:
     if isinstance(f, Forall):
         return not _eval(Exists(f.var, Not(f.body)), fo, so, length)
     if isinstance(f, Exists):
-        name = f.var.name
-        if f.var.kind is Kind.FIRST_ORDER:
-            shadowed = fo.pop(name, None)
-            try:
-                for p in range(length + _FO_MARGIN):
-                    fo[name] = p
-                    if _eval(f.body, fo, so, max(length, p + 1)):
-                        return True
-                return False
-            finally:
-                fo.pop(name, None)
-                if shadowed is not None:
-                    fo[name] = shadowed
-        shadowed_set = so.pop(name, None)
+        name, first_order = f.var.name, f.var.kind is Kind.FIRST_ORDER
+        table = fo if first_order else so
+        horizon = length + (_FO_MARGIN if first_order else _so_margin(f.body))
+        shadowed = table.pop(name, None)
         try:
-            horizon = length + _so_margin(f.body)
-            for mask in range(1 << horizon):
-                members = frozenset(p for p in range(horizon) if mask >> p & 1)
-                so[name] = members
-                inner_len = max(length, max(members) + 1) if members else length
-                if _eval(f.body, fo, so, inner_len):
+            for value, end in _candidates(f.var.kind, horizon):
+                table[name] = value
+                if _eval(f.body, fo, so, max(length, end)):
                     return True
             return False
         finally:
-            so.pop(name, None)
-            if shadowed_set is not None:
-                so[name] = shadowed_set
+            table.pop(name, None)
+            if shadowed is not None:
+                table[name] = shadowed
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -161,33 +166,26 @@ def sat_bounded(f: Formula, k_max: int) -> Optional[Interpretation]:
             f"more than {ENUMERATION_BUDGET} free-variable configurations at k_max={k_max}"
         )
 
-    def assign_fo(k: int, idx: int, fo: dict[str, int], so: dict[str, frozenset[int]]):
-        if idx == len(fo_vars):
-            return assign_so(k, 0, fo, so)
-        for p in range(k):
-            fo[fo_vars[idx].name] = p
-            if assign_fo(k, idx + 1, fo, so):
-                return True
-            del fo[fo_vars[idx].name]
-        return False
-
-    def assign_so(k: int, idx: int, fo: dict[str, int], so: dict[str, frozenset[int]]):
-        if idx == len(so_vars):
-            return _eval(f, dict(fo), dict(so), k)
-        for mask in range(1 << k):
-            so[so_vars[idx].name] = frozenset(p for p in range(k) if mask >> p & 1)
-            if assign_so(k, idx + 1, fo, so):
-                return True
-            del so[so_vars[idx].name]
-        return False
-
+    variables = fo_vars + so_vars
+    fo: dict[str, int] = {}
+    so: dict[str, frozenset[int]] = {}
+    slots = [(fo if v.kind is Kind.FIRST_ORDER else so, v.name) for v in variables]
     for k in range(k_max + 1):
-        if fo_vars and k == 0:
-            continue
-        fo: dict[str, int] = {}
-        so: dict[str, frozenset[int]] = {}
-        if assign_fo(k, 0, fo, so):
-            return Interpretation(k, dict(fo), dict(so))
+        # an odometer of candidate iterators, one per variable assigned so
+        # far: the last one moves fastest, each yields its values lazily, and
+        # a first-order variable has none at k = 0
+        levels: list[Iterator] = []
+        while True:
+            if len(levels) < len(variables):
+                levels.append(_candidates(variables[len(levels)].kind, k))
+            elif _eval(f, dict(fo), dict(so), k):
+                return Interpretation(k, fo, so)
+            while levels and (value := next(levels[-1], None)) is None:
+                levels.pop()  # exhausted: the variable before it moves on
+            if not levels:
+                break
+            table, name = slots[len(levels) - 1]
+            table[name] = value[0]
     return None
 
 

@@ -413,21 +413,22 @@ def normalize(f: Formula) -> Formula:
 # --- variable metadata -----------------------------------------------------
 
 def free_vars(f: Formula) -> list[VarId]:
-    """Free variables in first-occurrence order of a preorder traversal."""
-    seen: list[VarId] = []
+    """Free variables in first-occurrence order of a preorder traversal.
 
-    def visit(node: Formula, bound: frozenset[str]):
+    A loop over its own stack of (node, names bound above it), children
+    pushed right to left, so a formula of any depth fits the interpreter
+    stack."""
+    seen: list[VarId] = []
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        node, bound = stack.pop()
         if isinstance(node, Atom):
             for v in (node.x, node.y):
                 if v.name not in bound and v not in seen:
                     seen.append(v)
         elif isinstance(node, (Exists, Forall)):
             bound = bound | {node.var.name}
-        # an & chain is split by a loop, so one of any length fits the stack
-        for sub in conjuncts(node) if isinstance(node, And) else children(node):
-            visit(sub, bound)
-
-    visit(f, frozenset())
+        stack += [(sub, bound) for sub in reversed(children(node))]
     return seen
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -81,6 +83,42 @@ def test_sat_bounded_less():
 def test_sat_bounded_deterministic():
     f = parse("x in Y | y in Y")
     assert sat_bounded(f, 4) == sat_bounded(f, 4)
+
+
+def test_sat_bounded_enumerates_first_order_then_second_order_first_variable_slowest():
+    # several two-position models exist; this one comes first with x and y
+    # before Y and Z, each set in ascending-bitmask order
+    f = parse("x < y & ~(x in Y) & (y in Y | y in Z) & Y sub Z")
+    assert sat_bounded(f, 3) == Interpretation(2, {"x": 0, "y": 1},
+                                               {"Y": frozenset(), "Z": frozenset({1})})
+
+
+def test_sat_bounded_builds_its_sets_one_at_a_time():
+    # 2^14 sets at the last size: a list of them would take megabytes
+    tracemalloc.start()
+    try:
+        assert sat_bounded(parse("~(Y sub Y)"), 14) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_no_garbage_cycles_outlive_an_oracle_call():
+    # a recursive closure that still refers to itself when its call returns
+    # leaves a cycle behind that only the cyclic collector frees
+    f = parse("ex1 z: z < x & z in Y & (ex2 W: W sub Y & x in W)")
+    interp = Interpretation(3, {"x": 2}, {"Y": frozenset({0, 2})})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in (lambda: evaluate(f, interp), lambda: sat_bounded(f, 3)):
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_guard():

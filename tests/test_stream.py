@@ -521,6 +521,38 @@ def test_push_too_deep_to_compile_raises_and_leaves_the_session_as_it_was():
     assert [s.registry.name_of(t.index) for t in s.explorer.union_tracks] == ["x", "Y", "z"]
 
 
+def test_no_garbage_cycles_outlive_a_walk_or_a_push():
+    # a recursive closure that still refers to itself when its call returns
+    # leaves a cycle behind that only the cyclic collector frees: once per
+    # free_vars call, so once per compiled part of every push
+    chain = parse("(ex1 z: z < x & z in Y) & Y sub Z & (all2 W: x in W -> W sub Z)")
+    lines = ["x in Y", "ex1 z: z < x & z in Y", "y = x + 1", "~(y in Y)", "x in Y"]
+
+    def stream():
+        s = StreamSession()
+        for line in lines:
+            s.push(parse(line))
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in (lambda: free_vars(chain),
+                     lambda: compile_formula(chain, TrackRegistry(), MemoCache()), stream):
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_free_vars_of_a_deep_formula_fits_the_interpreter_stack():
+    deep = In(VarId("x", Kind.FIRST_ORDER), VarId("Y", Kind.SECOND_ORDER))
+    for _ in range(10_000):
+        deep = Not(deep)
+    assert free_vars(deep) == [VarId("x", Kind.FIRST_ORDER), VarId("Y", Kind.SECOND_ORDER)]
+
+
 @pytest.mark.parametrize("warm", [[], ["x in Y"]])
 def test_ill_kinded_push_raises_before_any_memo_lookup(warm):
     # with "x in Y" pushed, the cache holds In's shape: the kind check,
