@@ -1,9 +1,11 @@
 """Finite automata over bit-vector track alphabets.
 
 A word symbol carries one bit per track; transition labels are cubes,
-strings over ``{0, 1, X}`` where ``X`` matches either bit.  Deterministic
-automata keep, per state, a cube list that is pairwise disjoint and
-jointly exhaustive, so every concrete symbol matches exactly one cube.
+strings over ``{0, 1, X}`` where ``X`` matches either bit.  Every
+automaton has one edge shape, ``(cube, state)``.  An ``Nfa``'s cubes at
+a state may overlap or miss symbols; a ``Dfa`` is an ``Nfa`` whose cubes
+at each state partition the symbols (pairwise disjoint and jointly
+exhaustive), so every concrete symbol matches exactly one cube.
 Every operation that widens or meets cubes (``intersect``, ``cylindrify``,
 ``Dfa.audit`` and the stream's product search) works on the same cubes
 as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
@@ -119,10 +121,9 @@ def mask_cube(care: int, value: int, width: int) -> str:
     return "".join(b if r == "1" else "X" for b, r in zip(bits, read))
 
 
-def mask_rows(a: Dfa | Nfa, columns: Iterable[int], width: int) -> tuple[tuple[tuple], ...]:
+def mask_rows(a: Nfa, columns: Iterable[int], width: int) -> tuple[tuple[tuple], ...]:
     """Each state's edges as ``(care, value, dst)`` mask cubes over ``width``
-    columns; ``columns`` gives the column of each of ``a``'s tracks, in order.
-    ``dst`` is as ``a.delta`` has it: a state of a ``Dfa``, a set of an ``Nfa``."""
+    columns; ``columns`` gives the column of each of ``a``'s tracks, in order."""
     bits = [1 << (width - 1 - col) for col in columns]
     rows = []
     for edges in a.delta:
@@ -227,26 +228,22 @@ def _covers(table: dict, width: int, roots: Iterable[int]) -> list[list[tuple[st
     symbol-to-leaf function, so equal functions get byte-identical cubes:
     it is what cofactoring on track positions in order, with equal halves
     merged to X, gives."""
-    nodes = list(table)
-    memo: dict[int, list[tuple[str, int]]] = {}
+    tails: list[tuple[int, list[tuple[str, int]]]] = []  # by id: position, cubes from it on
 
     def below(node: int, pos: int) -> list[tuple[str, int]]:
         """Cubes over the positions from ``pos`` on."""
         if node < 0:
             return [("X" * (width - pos), ~node)]
-        at, low, high = nodes[node]
-        tail = memo.get(node)
-        if tail is None:
-            tail = memo[node] = ([("0" + c, v) for c, v in below(low, at + 1)]
-                                 + [("1" + c, v) for c, v in below(high, at + 1)])
+        at, tail = tails[node]
         if at == pos:
             return tail
         skip = "X" * (at - pos)
         return [(skip + c, v) for c, v in tail]
 
-    covers = [below(root, 0) for root in roots]
-    del below  # the closure refers to itself: break the cycle
-    return covers
+    for pos, low, high in table:  # id order: children first
+        tails.append((pos, [("0" + c, v) for c, v in below(low, pos + 1)]
+                      + [("1" + c, v) for c, v in below(high, pos + 1)]))
+    return [below(root, 0) for root in roots]
 
 
 def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
@@ -293,8 +290,10 @@ def _minimal(tracks: TrackSet, table: dict, roots: Sequence[int], initial: int,
 # --- automata ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Dfa:
-    """Total deterministic automaton; see module docstring for conventions."""
+class Nfa:
+    """An automaton whose cubes at a state may overlap or miss symbols: a
+    symbol leads to the target of every cube that matches it, and nowhere
+    if none does.  See the module docstring for conventions."""
 
     tracks: TrackSet
     num_states: int
@@ -306,11 +305,11 @@ class Dfa:
     def width(self) -> int:
         return len(self.tracks)
 
-    def track_position(self, index: int) -> int:
-        for pos, t in enumerate(self.tracks):
-            if t.index == index:
-                return pos
-        raise UnknownTrack(f"automaton has no track {index}")
+
+@dataclass(frozen=True)
+class Dfa(Nfa):
+    """Total deterministic automaton: an ``Nfa`` whose cubes at each state
+    partition the symbols, so each symbol leads to exactly one state."""
 
     def step(self, state: int, symbol: Symbol) -> int:
         for cube, dst in self.delta[state]:
@@ -341,19 +340,6 @@ class Dfa:
                 raise ValueError(f"state {state} covers {covered}/{full} symbols")
 
 
-@dataclass(frozen=True)
-class Nfa:
-    tracks: TrackSet
-    num_states: int
-    initial: int
-    accepting: frozenset[int]
-    delta: tuple[tuple[tuple[str, frozenset[int]], ...], ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.tracks)
-
-
 def make_dfa(
     tracks: TrackSet,
     num_states: int,
@@ -381,9 +367,9 @@ def nfa_accepts(n: Nfa, word: Sequence[Symbol]) -> bool:
             raise ArityMismatch(f"symbol {symbol} has {len(symbol)} bits, automaton has {n.width} tracks")
         nxt: set[int] = set()
         for s in states:
-            for cube, dsts in n.delta[s]:
+            for cube, dst in n.delta[s]:
                 if cube_matches(cube, symbol):
-                    nxt.update(dsts)
+                    nxt.add(dst)
         states = nxt
     return bool(states & n.accepting)
 
@@ -394,7 +380,7 @@ FAR = 1 << 30  # the accept distance of a state that cannot reach acceptance
 def accept_distances(rows: Sequence[Iterable[tuple]], accepting: Iterable[int]) -> list[int]:
     """Per state, the fewest edges of ``rows`` to an ``accepting`` state, or
     ``FAR``, by one backward breadth-first search; each edge of ``rows[s]``
-    is a tuple ending with its target (a ``Dfa``'s delta, a cover, mask rows)."""
+    is a tuple ending with its target (an automaton's delta, a cover, mask rows)."""
     preds: list[list[int]] = [[] for _ in rows]
     for src, edges in enumerate(rows):
         for edge in edges:
@@ -412,7 +398,7 @@ def accept_distances(rows: Sequence[Iterable[tuple]], accepting: Iterable[int]) 
     return dist
 
 
-def coreachable(a: Dfa) -> frozenset[int]:
+def coreachable(a: Nfa) -> frozenset[int]:
     """States from which some accepting state can be reached."""
     return frozenset(s for s, d in enumerate(accept_distances(a.delta, a.accepting)) if d < FAR)
 
@@ -475,7 +461,7 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
     return Dfa(tracks, len(order), 0, accepting, delta)
 
 
-def project(a: Dfa, track_index: int) -> Nfa:
+def project(a: Nfa, track_index: int) -> Nfa:
     """Erase one track (existential quantification over its bit-column).
 
     Erasing alone is not enough: a witness column may need positions past
@@ -484,11 +470,12 @@ def project(a: Dfa, track_index: int) -> Nfa:
     the remaining tracks) reaches an accepting state is itself marked
     accepting, keeping the language closed under trailing zero padding.
     """
-    pos = a.track_position(track_index)
-    tracks = tuple(t for t in a.tracks if t.index != track_index)
-    erased = [[(cube[:pos] + cube[pos + 1:], dst) for cube, dst in edges] for edges in a.delta]
-    delta = tuple(tuple((cube, frozenset({dst})) for cube, dst in edges) for edges in erased)
-    zeros = [[edge for edge in edges if "1" not in edge[0]] for edges in erased]
+    pos = next((i for i, t in enumerate(a.tracks) if t.index == track_index), None)
+    if pos is None:
+        raise UnknownTrack(f"automaton has no track {track_index}")
+    tracks = a.tracks[:pos] + a.tracks[pos + 1:]
+    delta = tuple(tuple((cube[:pos] + cube[pos + 1:], dst) for cube, dst in edges) for edges in a.delta)
+    zeros = [[edge for edge in edges if "1" not in edge[0]] for edges in delta]
     dist = accept_distances(zeros, a.accepting)
     accepting = frozenset(s for s, d in enumerate(dist) if d < FAR)
     return Nfa(tracks, a.num_states, a.initial, accepting, delta)
@@ -502,7 +489,7 @@ def determinize(n: Nfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
     no cube matches goes there, make one diagram whose leaves join the
     targets of overlapping cubes; its cover gives the edges."""
     width = n.width
-    rows = [[(care, value, sum(1 << d for d in dsts)) for care, value, dsts in row]
+    rows = [[(care, value, 1 << dst) for care, value, dst in row]
             for row in mask_rows(n, range(width), width)]
 
     def successors(subset: int) -> list[tuple[str, int]]:
@@ -631,7 +618,7 @@ def find_witness(a: Dfa) -> Optional[Witness]:
         layer = list(discovered)
 
 
-def is_empty(a: Dfa) -> bool:
+def is_empty(a: Nfa) -> bool:
     """Whether ``a`` accepts no word, decided without building a witness."""
     return a.initial not in coreachable(a)
 

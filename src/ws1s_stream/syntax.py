@@ -417,19 +417,20 @@ def free_vars(f: Formula) -> list[VarId]:
 
     A loop over its own stack of (node, names bound above it), children
     pushed right to left, so a formula of any depth fits the interpreter
-    stack."""
-    seen: list[VarId] = []
+    stack; a dict keeps the first occurrences in order at one lookup per
+    occurrence."""
+    seen: dict[VarId, None] = {}
     stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
     while stack:
         node, bound = stack.pop()
         if isinstance(node, Atom):
             for v in (node.x, node.y):
-                if v.name not in bound and v not in seen:
-                    seen.append(v)
+                if v.name not in bound:
+                    seen.setdefault(v)
         elif isinstance(node, (Exists, Forall)):
             bound = bound | {node.var.name}
         stack += [(sub, bound) for sub in reversed(children(node))]
-    return seen
+    return list(seen)
 
 
 def quantifier_count(f: Formula, kind: Kind | None = None) -> int:

@@ -163,10 +163,7 @@ def test_project_rejects_a_track_the_automaton_lacks(x_in_y):
 
 
 def test_determinize_preserves_deterministic_language(x_in_y):
-    as_nfa = Nfa(
-        x_in_y.tracks, x_in_y.num_states, x_in_y.initial, x_in_y.accepting,
-        tuple(tuple((c, frozenset({d})) for c, d in edges) for edges in x_in_y.delta),
-    )
+    as_nfa = Nfa(x_in_y.tracks, x_in_y.num_states, x_in_y.initial, x_in_y.accepting, x_in_y.delta)
     assert language_equiv(determinize(as_nfa), x_in_y)
 
 
@@ -182,6 +179,24 @@ def test_determinize_matches_nfa_run_semantics(x_in_y):
 def test_nfa_accepts_arity_check(x_in_y):
     with pytest.raises(ArityMismatch):
         nfa_accepts(project(x_in_y, 1), [(1, 1)])
+
+
+def test_nfa_accepts_reads_a_dfa(random_corpus):
+    for dfa in random_corpus:
+        for word in all_words(dfa.width, 3):
+            assert nfa_accepts(dfa, word) == accepts(dfa, word)
+
+
+def test_determinize_reads_a_dfa(random_corpus):
+    for dfa in random_corpus:
+        assert language_equiv(determinize(dfa), dfa)
+
+
+def test_is_empty_reads_an_nfa(random_corpus):
+    for dfa in random_corpus:
+        if dfa.tracks:
+            nfa = project(dfa, dfa.tracks[0].index)
+            assert is_empty(nfa) == is_empty(determinize(nfa))
 
 
 def test_determinize_projected_membership(x_in_y):
@@ -276,8 +291,9 @@ def _joined_cover(cubes, width):
     """The cover ``determinize`` reads off one diagram of overlapping
     ``(cube, set)`` edges, its sets as they were."""
     tracks = make_tracks((i, Kind.SECOND_ORDER) for i in range(width))
-    row, = mask_rows(Nfa(tracks, 1, 0, frozenset(), (tuple(cubes),)), range(width), width)
-    edges = [(care, value, sum(1 << s for s in dsts)) for care, value, dsts in row] + [(0, 0, 0)]
+    masks = tuple((cube, sum(1 << s for s in dsts)) for cube, dsts in cubes)
+    row, = mask_rows(Nfa(tracks, 1, 0, frozenset(), (masks,)), range(width), width)
+    edges = list(row) + [(0, 0, 0)]
     table = {}
     cover, = _covers(table, width, _diagrams(table, [edges], width))
     return [(cube, frozenset(s for s in range(mask.bit_length()) if mask >> s & 1))
@@ -299,7 +315,7 @@ def _reference_determinize(n):
     ``_reference_cover`` of its members' overlapping cubes."""
 
     def successors(subset):
-        edges = [(cube, dsts) for s in sorted(subset) for cube, dsts in n.delta[s]]
+        edges = [(cube, frozenset({dst})) for s in sorted(subset) for cube, dst in n.delta[s]]
         return _reference_cover(edges, n.width, True)
 
     order, delta = _explore(frozenset({n.initial}), successors)
@@ -309,7 +325,8 @@ def _reference_determinize(n):
 
 def _random_nfa(rng, width):
     """An Nfa whose rows are empty, disjoint covers or random cubes, which
-    may overlap and may leave symbols out; target sets may be empty."""
+    may overlap and may leave symbols out; each cube gets a random set of
+    targets, one edge per target, so a cube may have none or several."""
     n = rng.randint(1, 5)
     tracks = make_tracks((i, rng.choice(list(Kind))) for i in range(width))
 
@@ -321,9 +338,11 @@ def _random_nfa(rng, width):
         if kind < 0.15:
             return ()
         if kind < 0.45:
-            return tuple((cube, targets()) for cube, _ in _random_partition(rng, width, 1))
-        return tuple(("".join(rng.choice("01XX") for _ in range(width)), targets())
-                     for _ in range(rng.randint(1, 4)))
+            edges = [(cube, targets()) for cube, _ in _random_partition(rng, width, 1)]
+        else:
+            edges = [("".join(rng.choice("01XX") for _ in range(width)), targets())
+                     for _ in range(rng.randint(1, 4))]
+        return tuple((cube, dst) for cube, dsts in edges for dst in dsts)
 
     accepting = frozenset(s for s in range(n) if rng.random() < 0.4)
     return Nfa(tracks, n, rng.randrange(n), accepting, tuple(row() for _ in range(n)))
