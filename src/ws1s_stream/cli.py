@@ -22,10 +22,8 @@ from typing import TextIO
 
 from . import __version__
 from .automata import dump, is_empty
-from .bench import BenchConfig, run_bench
 from .compiler import compile_formula
 from .errors import EnumerationBudgetExceeded, ModeDisagreement, StateBudgetExceeded, WsError
-from .oracle import sat_bounded
 from .stream import FROM_SCRATCH, INCREMENTAL, StreamSession
 from .syntax import parse
 
@@ -170,6 +168,9 @@ def cmd_stream(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # bench and oracle load in their own subcommands only, so a stream never loads them
+    from .bench import BenchConfig, run_bench
+
     cfg = BenchConfig(
         family=args.family,
         n_max=args.n,
@@ -188,6 +189,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import sat_bounded
+
     formula = parse(args.formula)
     model = sat_bounded(formula, args.k)
     if model is None:

@@ -7,12 +7,14 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from formula_gen import random_formula
+import ws1s_stream
 from ws1s_stream import bench
 from ws1s_stream.automata import dump, language_equiv, minimize, parse_dump
 from ws1s_stream.bench import BenchConfig, family1, family2, run_bench
@@ -545,15 +547,21 @@ def test_cli_state_budget_env(monkeypatch, capsys):
 
 
 def test_cli_mode_disagreement_exit_code(monkeypatch, capsys):
-    import ws1s_stream.cli as cli
     from ws1s_stream.errors import ModeDisagreement
 
     def boom(cfg):
         raise ModeDisagreement("forced")
 
-    monkeypatch.setattr(cli, "run_bench", boom)
+    monkeypatch.setattr(bench, "run_bench", boom)  # cmd_bench reads it from bench
     code = main(["bench", "--family", "1", "--n", "2", "--out", "/dev/null"])
     assert code == 4
+
+
+def test_cli_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n" == ws1s_stream.__version__ + "\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -652,3 +660,67 @@ def test_benchmark_worker_runs_on_this_tree(tmp_path):
     added_by_run = {"cli.bytes_out", "trace.overhead_s"}
     assert set(streamed["layers"]) == {m["name"] for m in declared} - added_by_run
     assert work("oneshot")["status"] == "unsat"
+
+
+def test_a_session_loads_only_the_modules_it_uses():
+    # a fresh interpreter, since this one has loaded every module already
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent("""\
+        import json, sys
+        import ws1s_stream
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("ws1s_stream."))
+
+        seen = {"import": loaded()}
+        ws1s_stream.StreamSession()
+        seen["session"] = loaded()
+        from ws1s_stream import cli
+        seen["code"] = cli.main(["stream"])
+        seen["stream"] = [m for m in ("ws1s_stream.bench", "ws1s_stream.oracle", "statistics",
+                                      "csv") if m in sys.modules]
+        print(json.dumps(seen))
+    """)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", script], input="", capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["import"] == []
+    assert seen["session"] == [f"ws1s_stream.{m}"
+                               for m in ("automata", "compiler", "errors", "stream", "syntax")]
+    assert seen["code"] == 0 and seen["stream"] == []
+
+
+_PUBLIC = {
+    "automata": ["Dfa", "Nfa", "Track", "Witness", "accepts", "complement", "cylindrify",
+                 "determinize", "dump", "find_witness", "intersect", "is_empty",
+                 "language_equiv", "minimize", "parse_dump", "product", "project"],
+    "bench": ["BenchConfig", "family1", "family2", "run_bench"],
+    "compiler": ["MemoCache", "TrackRegistry", "compile_atom", "compile_formula",
+                 "restriction_automaton"],
+    "errors": ["WsError"],
+    "oracle": ["Interpretation", "evaluate", "interpretation_from_word", "sat_bounded"],
+    "stream": ["SessionStats", "StepReport", "StepVerdict", "StreamSession",
+               "from_scratch_check", "session_stats"],
+    "syntax": ["Formula", "Kind", "VarId", "free_vars", "normalize", "parse", "print_formula"],
+}
+
+
+def test_package_exports_each_public_name_from_its_module():
+    import importlib
+
+    assert set(ws1s_stream.__all__) == {n for names in _PUBLIC.values() for n in names}
+    assert len(ws1s_stream.__all__) == 44
+    for module, names in _PUBLIC.items():
+        home = importlib.import_module(f"ws1s_stream.{module}")
+        for name in names:
+            assert getattr(ws1s_stream, name) is getattr(home, name)
+    namespace = {}
+    exec("from ws1s_stream import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ws1s_stream.__all__)
+    assert set(ws1s_stream.__all__) <= set(dir(ws1s_stream))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ws1s_stream.no_such_name
+    from ws1s_stream import bench as imported
+    assert imported is sys.modules["ws1s_stream.bench"]
