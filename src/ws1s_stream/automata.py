@@ -12,7 +12,7 @@ as ``(care, value)`` int masks, read by ``mask_rows``, met by the one
 product step ``cube_product`` (which also names each meet's target
 pair, in the order the meets are made) and printed back by
 ``mask_cube``.  Code that matches a symbol or edits string cubes
-(``Dfa.step``, ``project``) keeps the strings.
+(``accepts``, ``project``) keeps the strings.
 
 ``minimize``, ``product`` (the minimized intersection of one or more
 automata, without any unminimized product's cubes) and ``determinize``
@@ -311,12 +311,6 @@ class Dfa(Nfa):
     """Total deterministic automaton: an ``Nfa`` whose cubes at each state
     partition the symbols, so each symbol leads to exactly one state."""
 
-    def step(self, state: int, symbol: Symbol) -> int:
-        for cube, dst in self.delta[state]:
-            if cube_matches(cube, symbol):
-                return dst
-        raise AssertionError(f"non-total delta at state {state} for {symbol}")
-
     def audit(self) -> None:
         """Check the determinism/totality invariant; raises on violation."""
         if not 0 <= self.initial < self.num_states:
@@ -351,27 +345,16 @@ def make_dfa(
     return Dfa(tracks, num_states, initial, frozenset(accepting), delta)
 
 
-def accepts(a: Dfa, word: Sequence[Symbol]) -> bool:
-    state = a.initial
+def accepts(a: Nfa, word: Sequence[Symbol]) -> bool:
+    """Whether ``word`` leads ``a`` from its initial state to an accepting
+    one along some run.  The runs are followed together as one set of
+    states; a ``Dfa`` has exactly one run, so the set holds one state."""
+    states = {a.initial}
     for symbol in word:
         if len(symbol) != a.width:
             raise ArityMismatch(f"symbol {symbol} has {len(symbol)} bits, automaton has {a.width} tracks")
-        state = a.step(state, symbol)
-    return state in a.accepting
-
-
-def nfa_accepts(n: Nfa, word: Sequence[Symbol]) -> bool:
-    states = {n.initial}
-    for symbol in word:
-        if len(symbol) != n.width:
-            raise ArityMismatch(f"symbol {symbol} has {len(symbol)} bits, automaton has {n.width} tracks")
-        nxt: set[int] = set()
-        for s in states:
-            for cube, dst in n.delta[s]:
-                if cube_matches(cube, symbol):
-                    nxt.add(dst)
-        states = nxt
-    return bool(states & n.accepting)
+        states = {dst for s in states for cube, dst in a.delta[s] if cube_matches(cube, symbol)}
+    return bool(states & a.accepting)
 
 
 FAR = 1 << 30  # the accept distance of a state that cannot reach acceptance
@@ -523,7 +506,7 @@ def minimize(a: Dfa) -> Dfa:
     return _minimal(a.tracks, table, roots, a.initial, a.accepting)
 
 
-def product(*dfas: Dfa) -> Dfa:
+def product(first: Dfa, *rest: Dfa) -> Dfa:
     """The minimal automaton of the intersection of one or more automata,
     without building the cubes of any unminimized product.
 
@@ -538,6 +521,7 @@ def product(*dfas: Dfa) -> Dfa:
     is a leaf to itself, so the tuples that minimization would merge into
     it are never enumerated.  The result is minimized once.
     """
+    dfas = (first, *rest)
     tracks = reduce(merge_tracks, (a.tracks for a in dfas))
     width = len(tracks)
     operands: dict = {}
@@ -587,13 +571,17 @@ def product(*dfas: Dfa) -> Dfa:
 
 # --- emptiness and witnesses --------------------------------------------------
 
-def find_witness(a: Dfa) -> Optional[Witness]:
-    """Shortest accepted word, or None if the language is empty.
+def find_witness(a: Nfa) -> Optional[Witness]:
+    """Shortest accepted word of any automaton, or None if the language
+    is empty.
 
     Length ties break toward the lexicographically least concrete symbol
     sequence (tracks in ascending index order, 0 < 1), so results are
     reproducible byte for byte.  The search is breadth-first and stops
-    with the first accepting layer.
+    with the first accepting layer.  It keeps the least path into each
+    state, which is exact for overlapping cubes too: on an accepting run
+    of a shortest accepted word, each state sits in the layer that first
+    reaches it.
     """
     if a.initial in a.accepting:
         return []

@@ -33,7 +33,6 @@ from ws1s_stream.automata import (
     make_tracks,
     mask_rows,
     minimize,
-    nfa_accepts,
     parse_dump,
     product,
     project,
@@ -173,18 +172,12 @@ def test_determinize_matches_nfa_run_semantics(x_in_y):
     rng = random.Random(17)
     for _ in range(100):
         word = [(rng.randint(0, 1),) for _ in range(rng.randint(0, 6))]
-        assert accepts(dfa, word) == nfa_accepts(nfa, word)
+        assert accepts(dfa, word) == accepts(nfa, word)
 
 
 def test_nfa_accepts_arity_check(x_in_y):
     with pytest.raises(ArityMismatch):
-        nfa_accepts(project(x_in_y, 1), [(1, 1)])
-
-
-def test_nfa_accepts_reads_a_dfa(random_corpus):
-    for dfa in random_corpus:
-        for word in all_words(dfa.width, 3):
-            assert nfa_accepts(dfa, word) == accepts(dfa, word)
+        accepts(project(x_in_y, 1), [(1, 1)])
 
 
 def test_determinize_reads_a_dfa(random_corpus):
@@ -363,6 +356,21 @@ def test_determinize_equals_the_reference_subset_construction():
     assert min(seen.values()) >= 1000, seen
 
 
+def test_accepts_and_find_witness_read_any_nfa():
+    rng = random.Random(19)
+    witnessed = 0
+    for _ in range(1500):
+        width = rng.randrange(4)
+        nfa = _random_nfa(rng, width)
+        dfa = determinize(nfa)
+        witness = find_witness(nfa)
+        assert witness == find_witness(dfa)
+        witnessed += witness is not None
+        for word in all_words(width, 2 if width == 3 else 3):
+            assert accepts(nfa, word) == accepts(dfa, word)
+    assert witnessed >= 500, witnessed
+
+
 def _reference_minimize(a):
     """Moore refinement on canonical covers, every state's cover rebuilt by
     ``_reference_cover`` in every round: the minimization that decision
@@ -490,6 +498,11 @@ def test_k_ary_product_equals_the_pairwise_fold_on_unminimized_operands():
             continue
         assert dump(product(*dfas)) == expected
         assert dump(product(*_spread(dfas))) == dump(_pairwise(_spread(dfas)))
+
+
+def test_product_names_its_missing_operand():
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'first'"):
+        product()
 
 
 def test_product_of_one_automaton_is_its_minimization():
@@ -743,7 +756,7 @@ def test_parse_dump_rejects_overlapping_cubes():
 
 
 # parse_dump rejects these states itself, so only a hand-built automaton
-# reaches audit's range checks; step's totality check guards a missing cube
+# reaches audit's range, dangling and coverage checks
 _ONE_TRACK = make_tracks([(0, Kind.SECOND_ORDER)])
 
 
@@ -754,13 +767,19 @@ _ONE_TRACK = make_tracks([(0, Kind.SECOND_ORDER)])
      ValueError, "accepting state out of range"),
     (make_dfa(_ONE_TRACK, 1, 0, (), {0: [("X", 1)]}), Dfa.audit,
      ValueError, "dangling transition 0 -> 1"),
-    (make_dfa(_ONE_TRACK, 1, 0, (), {0: [("0", 0)]}), lambda dfa: dfa.step(0, (1,)),
-     AssertionError, "non-total delta at state 0 for (1,)"),
+    (make_dfa(_ONE_TRACK, 1, 0, (), {0: [("0", 0)]}), Dfa.audit,
+     ValueError, "state 0 covers 1/2 symbols"),
 ], ids=["initial", "accepting", "dangling", "non-total"])
 def test_hand_built_automata_fail_their_checks(dfa, check, error, message):
     with pytest.raises(error) as exc:
         check(dfa)
     assert str(exc.value) == message
+
+
+def test_a_word_that_falls_off_a_non_total_automaton_is_rejected():
+    dfa = make_dfa(_ONE_TRACK, 1, 0, {0}, {0: [("0", 0)]})  # no cube matches (1,)
+    assert not accepts(dfa, [(1,)])
+    assert accepts(dfa, [(0,)])
 
 
 _HEADER = "dfa tracks=0:2 states=1 initial=0\n"
