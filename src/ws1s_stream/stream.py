@@ -43,13 +43,11 @@ arity and cost nothing, which is what keeps the per-step price tied to
 the witness search rather than to the size of everything seen so far.
 
 Stored edges are a cache that follows the search frontier.  Nearly every
-replay starts from the arity just before, so the edges stored by the
-last two searches are kept and older ones are released, oldest first,
-at the end of each sat search, never faster than searches derive new
-ones, so no push pays for one large free.  After unsat no search runs
-again, and everything is released.  A released state stays placed; a
-fold that passes it again re-derives its edges from its longest
-complete prefix.
+replay starts from the arity just before, so the edges the last two
+searches stored are kept, and older ones are released at the pace
+``ProductExplorer._retire`` sets.  A released state stays placed; a fold
+that passes it again re-derives its edges from its longest complete
+prefix.
 
 The work and memory per node and per edge do not grow with the number
 of components.  A product state is an int id, interned on its prefix
@@ -208,9 +206,9 @@ class _Node:
     this state's arity as all-int ``(care, value, target id)`` triples,
     mask cubes over the union tracks of that arity, least symbol first.
     Only a placed state is ever complete, and it stays complete until the
-    explorer releases its edges (``out`` back to None), at the end of the
-    second search after the one that stored them at the earliest; it stays
-    placed, and a later fold that passes through it derives them again.
+    explorer releases its edges (``out`` back to None; see
+    ``ProductExplorer._retire``); it stays placed, and a later fold that
+    passes through it derives them again.
     """
 
     __slots__ = ("prefix", "state", "arity", "h", "depth", "parent", "value", "out")
@@ -299,13 +297,10 @@ class ProductExplorer:
         self.ids: dict[int, int] = {}  # prefix id << 32 | state -> id, in id order
         self.roots: list[int] = [0]  # initial state id after the first i components
         self.placed = 1  # states placed so far, the empty product included
-        # the states whose edges are stored, by the search that stored them:
-        # the running one (if it raises, its edges may name states
-        # drop_components drops), the last two, and older ones still to be
-        # released, oldest first
-        self.archived: list[_Node] = []
-        self.kept: list[list[_Node]] = [[], []]
-        self.old: deque[_Node] = deque()
+        # the states whose edges are stored, in storing order, each with the
+        # number of the search that stored it (see _retire)
+        self.stored: deque[tuple[int, _Node]] = deque()
+        self.searches = 0  # sat searches retired so far: the running search's number
         self.held = 0  # edges stored on complete states
         self.complete = 0  # and the placed states that hold them
         self.credit = 0  # edges derived by searches whose release has not caught up
@@ -367,19 +362,16 @@ class ProductExplorer:
         still hold and stay.  An edge names a state of its own arity, so
         those are the edges stored above arity ``keep`` and any that a fold
         at a higher arity stored on a kept prefix, naming a state it
-        interned at the prefix's arity.
+        interned at the prefix's arity.  The edges that stay keep their
+        place in the release order (see ``_retire``).
         """
         if keep == len(self.components):
             return
-        mark = self.roots[keep + 1]
-        self._release(self.archived)
-        self.archived.clear()
-        for nodes in (self.old, *self.kept):
-            self._release([node for node in nodes if node.arity > keep
-                           or any(target >= mark for _, _, target in node.out or ())])
-        # what was released leaves the lists, so they keep no dropped state alive
-        self.old = deque(node for node in self.old if node.out is not None)
-        self.kept = [[node for node in nodes if node.out is not None] for nodes in self.kept]
+        mark, running = self.roots[keep + 1], self.searches
+        self._release(node for search, node in self.stored if search == running or node.arity > keep
+                      or any(target >= mark for _, _, target in node.out or ()))
+        # what was released leaves the queue, so it keeps no dropped state alive
+        self.stored = deque(entry for entry in self.stored if entry[1].out is not None)
         self.placed -= sum(node.depth >= 0 for node in self.by_id[mark:])
         del self.by_id[mark:]
         while len(self.ids) >= mark:  # one key per id from 1 on, in id order
@@ -398,7 +390,7 @@ class ProductExplorer:
         """Derive the live successor edges of a placed state at the current arity.
 
         Walks prefix links back to the longest complete prefix and splits
-        its archived edge cubes through the components after it, one
+        its stored edge cubes through the components after it, one
         ``cube_product`` per component; only if no prefix is complete is the
         product enumerated fresh, from the empty product's one edge.  The
         fold's level at arity j is the edge list of ``node[:j]``, so each
@@ -407,10 +399,11 @@ class ProductExplorer:
         edges are derived at most once while they are kept.  Returns
         ``node``'s own level, now its ``out``, whose edges count in
         ``edges_out``; every level's edges count in ``edges_made``.  Every
-        state it completed goes on ``archived``, the running search's list,
-        and counts in ``complete``, its edges in ``held``.
+        state it completes is queued for release under the running search's
+        number (see ``_retire``) and counts in ``complete``, its edges in
+        ``held``.
         """
-        chain = [node]  # node and its prefixes after the archived one, last first
+        chain = [node]  # node and its prefixes after the complete one, last first
         node = node.prefix
         while node.out is None and node.prefix is not None:
             chain.append(node)
@@ -428,7 +421,7 @@ class ProductExplorer:
             made += len(edges)
             if node.depth >= 0:
                 edges = node.out = tuple(sorted(edges, key=_edge_order))
-                self.archived.append(node)
+                self.stored.append((self.searches, node))
                 self.held += len(edges)
                 self.complete += 1
         self.edges_made += made
@@ -445,31 +438,35 @@ class ProductExplorer:
                 node.out = None
 
     def _retire(self, sat: bool, derived: int) -> None:
-        """Close the running search's list, which stored ``derived`` edges.
+        """Close the running search, which stored ``derived`` edges.
 
-        After sat, the last two searches' lists are kept, and the states of
-        older ones are released oldest first, while their edges fit in the
-        credit: what this search derived plus what earlier ones derived
-        that release has not yet caught up with.  So the edges a push frees
-        follow the edges searches derive, and no push pays for freeing an
-        old search's edges all at once.  After unsat no search follows, and
-        everything goes.
+        Stored edges are released in one queue, ``stored``: every state
+        whose edges a fold stored, in storing order, with the number of the
+        search that stored it.  After sat the search's number is retired,
+        the entries of the last two searches stay, and older ones are
+        released from the front while their edges fit in the credit: what
+        this search derived plus what earlier ones derived that release has
+        not yet caught up with.  So the edges a push frees follow the edges
+        searches derive, and no push pays for freeing an old search's edges
+        all at once.  After unsat no search follows, and everything goes.
+        A state is queued twice when a bound raise unplaced it after its
+        edges were stored and the walk stored them again; its first entry to
+        leave the queue releases them.
         """
+        stored = self.stored
         if not sat:
-            for nodes in (self.old, *self.kept, self.archived):
-                self._release(nodes)
-            self.old, self.kept, self.archived, self.credit = deque(), [[], []], [], 0
+            self._release(node for _, node in stored)
+            stored.clear()
+            self.credit = 0
             return
-        old = self.old
-        old.extend(self.kept.pop(0))
-        self.kept.append(self.archived)
-        self.archived = []
+        self.searches += 1
+        kept = self.searches - 2  # the first search number whose entries stay
         credit = self.credit + derived
-        while old and len(old[0].out or ()) <= credit:
-            node = old.popleft()
+        while stored and stored[0][0] < kept and len(stored[0][1].out or ()) <= credit:
+            node = stored.popleft()[1]
             credit -= len(node.out or ())
             self._release((node,))
-        self.credit = credit if old else 0
+        self.credit = credit if stored and stored[0][0] < kept else 0
 
     # -- search ------------------------------------------------------------
 
@@ -509,8 +506,7 @@ class ProductExplorer:
         A search that raises an exception may leave its root placed, so a
         retry must drop the arity first (as ``StreamSession`` does);
         ``drop_components`` also releases the edges it stored.  A search
-        that ends hands its list of the states it stored edges on to
-        ``_retire``.
+        that ends hands the edges it stored to ``_retire``.
         """
         by_id, held = self.by_id, self.held
         root = by_id[self.roots[-1]]

@@ -415,6 +415,16 @@ def test_a_chain_too_wide_to_compile_is_decided_by_check_and_stream(capsys):
     assert _run_stream(_WIDE_SUB_CHAIN + "\n") == (0, "step=1 verdict=sat witness=[]\n", "")
 
 
+@pytest.mark.parametrize("n, size", [(20, 25_573), (40, 185_843), (80, 1_422_783)])
+def test_stream_command_output_of_the_succ_chain_is_pinned(n, size):
+    # step i prints a witness of i + 1 symbols, each a map over i + 1
+    # variables, so the output grows as n^3: about 7.5x per doubling
+    text = "".join(f"x{i + 1} = x{i} + 1\n" for i in range(1, n + 1))
+    code, out, err = _run_stream(text)
+    assert (code, err, out.count("\n")) == (0, "", n)
+    assert len(out.encode()) == size
+
+
 def test_stream_command_skip_bad_lines_still_stops_at_a_budget_error(monkeypatch):
     monkeypatch.setenv("WS1S_STATE_BUDGET", "2")
     text = "".join(print_formula(f) + "\n" for f in family1(4))

@@ -16,6 +16,8 @@ from ws1s_stream.automata import (
     intersect,
     make_dfa,
     make_tracks,
+    parse_dump,
+    product,
 )
 from ws1s_stream.bench import BenchConfig, family1, family2
 from ws1s_stream.compiler import MemoCache, TrackRegistry, compile_formula, restriction_automaton
@@ -29,6 +31,7 @@ from ws1s_stream.errors import (
 from ws1s_stream import stream
 from ws1s_stream.oracle import evaluate, interpretation_from_word, sat_bounded
 from ws1s_stream.stream import (
+    FROM_SCRATCH,
     ProductExplorer,
     StreamSession,
     from_scratch_check,
@@ -575,8 +578,7 @@ def test_second_search_at_the_same_arity_raises_and_changes_nothing():
     # as every succ push after the first does
     def state(explorer):
         return (explorer.placed, len(explorer.by_id), len(explorer.ids), explorer.held,
-                explorer.complete, explorer.bound, list(explorer.old),
-                [list(nodes) for nodes in explorer.kept], list(explorer.archived),
+                explorer.complete, explorer.bound, list(explorer.stored), explorer.searches,
                 explorer.expanded, explorer.replayed, explorer.edges_out, explorer.skipped,
                 explorer.bound_raises, explorer.widest)
 
@@ -742,6 +744,58 @@ def test_a_one_shot_search_interns_states_it_does_not_place():
         (4, 4), (5, 8), (6, 13), (7, 19), (8, 26), (9, 34)]
 
 
+def _sub_chain(n):
+    return [parse(f"Y{i} sub Y{i + 1} & x{i} in Y{i}") for i in range(1, n + 1)]
+
+
+_CURVES = {  # n -> incremental (resident, interned, summed edges_made), then one-shot
+    "succ-chain": (_succ_chain, {
+        40: ((901, 901, 939), (43, 901, 1_680)),
+        80: ((3_401, 3_401, 3_479), (83, 3_401, 6_560)),
+        160: ((13_201, 13_201, 13_359), (163, 13_201, 25_920)),
+    }),
+    **{name: (family, {
+        8: ((511, 511, 510), (257, 511, 510)),
+        10: ((2_047, 2_047, 2_046), (1_025, 2_047, 2_046)),
+        12: ((8_191, 8_191, 8_190), (4_097, 8_191, 8_190)),
+    }) for name, family in (("family1", family1), ("family2", family2))},
+    "sub-chain": (_sub_chain, {
+        8: ((511, 766, 1_522), (257, 766, 1_522)),
+        10: ((2_047, 3_070, 6_128), (1_025, 3_070, 6_128)),
+        12: ((8_191, 12_286, 24_558), (4_097, 12_286, 24_558)),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES))
+def test_cost_curves_are_pinned(name):
+    # the cost of a stream as a curve over n, in counters: the states placed
+    # and interned after the last push and the edges every push's folds made,
+    # pushed one formula at a time, then conjoined in one decision on a fresh
+    # session; a change of order in either mode shows here
+    make, points = _CURVES[name]
+    for n, expected in points.items():
+        formulas = make(n)
+        s = StreamSession()
+        reports = [s.push(f) for f in formulas]
+        one = StreamSession()._conjoin(formulas, FROM_SCRATCH)
+        got = ((reports[-1].resident, reports[-1].interned, sum(r.edges_made for r in reports)),
+               (one.resident, one.interned, one.edges_made))
+        assert got == expected, (n, got)
+        (resident, interned, _), (one_resident, one_interned, _) = got
+        if name == "succ-chain":
+            # quadratic in both modes: the one decision places n + 3 states
+            # but its folds intern as many as the stream places
+            assert resident == interned == one_interned == (n * n + 5 * n + 2) // 2
+            assert one_resident == n + 3
+        else:
+            # exponential: the stream places 2^i states at every arity i up
+            # to n, the one decision 2^n at arity n (each count with the
+            # empty product)
+            assert resident == 2 ** (n + 1) - 1 and one_resident == 2 ** n + 1
+            assert interned == one_interned == (3 * 2 ** n - 2 if name == "sub-chain" else resident)
+
+
 def _succ_witness(n):
     # the union lists x2 before x1, then x3 ... x{n+1}; symbol k sets the
     # track of x{k+1}, so the word spells x{k+1} = x1 + k
@@ -827,15 +881,17 @@ def test_search_that_raises_drops_the_edges_it_archived_on_older_states():
     for f in lines[:2]:
         s.push(f)
         fresh.push(f)
-    archived = s.explorer.archived
     with pytest.raises(StateBudgetExceeded, match="during product exploration"):
         s.push(lines[2])
-    assert not archived
 
     def complete(session):
         return [(node.arity, node.out) for node in session.explorer.by_id if node.complete]
 
-    assert complete(s) == complete(fresh)
+    def queue(session):
+        return [(search, node.arity, node.out) for search, node in session.explorer.stored]
+
+    # no entry of the failed search is left in the release queue
+    assert complete(s) == complete(fresh) and queue(s) == queue(fresh)
     s.state_budget = fresh.state_budget = StreamSession().state_budget
     later, expected = s.push(lines[2]), fresh.push(lines[2])
     assert (later.verdict, later.expanded, later.replayed) == (
@@ -1115,8 +1171,8 @@ def test_drop_keeps_the_stored_edges_of_the_states_it_keeps():
     explorer.drop_components(1)
     # the arity-1 root's edges name arity-1 states the drop keeps
     assert (explorer.held, explorer.complete) == (2, 1)
-    # and every state it released left the lists
-    listed = [*explorer.old, *explorer.kept[0], *explorer.kept[1]]
+    # and every state it released left the queue
+    listed = [node for _, node in explorer.stored]
     assert listed and all(node in explorer.by_id and node.complete for node in listed)
     explorer.add_component(restriction_automaton(1))
     verdict = explorer.search(100)[0]
@@ -1152,6 +1208,74 @@ def test_drop_releases_kept_edges_that_name_a_dropped_state():
     assert explorer.held == 0 and not any(node.complete for node in explorer.by_id)
     explorer.add_component(restriction_automaton(1))
     assert explorer.search(100)[0].witness == [(0, 1)]
+
+
+_UNPLACED_AFTER_STORING = ("""
+dfa tracks=1:2,2:2 states=2 initial=0
+accepting 1
+trans 0 00 0
+trans 0 01 1
+trans 0 10 1
+trans 0 11 0
+trans 1 00 0
+trans 1 01 1
+trans 1 1X 1
+""", """
+dfa tracks=1:2,2:2 states=5 initial=0
+accepting 3
+trans 0 0X 0
+trans 0 10 1
+trans 0 11 0
+trans 1 00 1
+trans 1 01 2
+trans 1 1X 2
+trans 2 00 3
+trans 2 01 4
+trans 2 10 0
+trans 2 11 4
+trans 3 00 1
+trans 3 01 2
+trans 3 10 3
+trans 3 11 1
+trans 4 00 3
+trans 4 01 2
+trans 4 10 0
+trans 4 11 1
+""")
+
+
+def test_a_state_unplaced_after_storing_its_edges_is_queued_twice_and_released_once():
+    # the search's bound raise unplaces a state whose edges it stored, and
+    # the next walk stores them again: the release queue lists that state
+    # twice, and releasing it must count its edges once
+    a, b = map(parse_dump, _UNPLACED_AFTER_STORING)
+    explorer = ProductExplorer()
+
+    def counts():
+        nodes = [node for node in explorer.by_id if node.complete]
+        assert (explorer.held, explorer.complete) == (sum(len(node.out) for node in nodes),
+                                                      len(nodes))
+        return len(explorer.stored), explorer.complete, explorer.held
+
+    explorer.add_component(a)
+    explorer.add_component(b)
+    verdict = explorer.search(1000)[0]
+    assert verdict.witness == find_witness(product(a, b)) == [(1, 0), (0, 1), (0, 0), (1, 0)]
+    assert explorer.bound_raises == 1
+    assert counts() == (9, 8, 31)
+    assert len({id(node) for _, node in explorer.stored}) == 8
+    # one-state universal automata on new tracks: each search stores the
+    # new arity's edges, and the queue releases the first search's entries,
+    # the state listed twice once
+    entries = []
+    for track in range(3, 8):
+        explorer.add_component(make_dfa(make_tracks([(track, Kind.SECOND_ORDER)]), 1, 0, {0},
+                                        {0: [("X", 0)]}))
+        assert explorer.search(1000)[0].is_sat
+        entries.append(counts())
+    assert entries == [(17, 16, 62)] + [(16, 16, 62)] * 4
+    explorer.drop_components(1)
+    assert counts() == (0, 0, 0)
 
 
 _BOUND_COUNTERS = {  # per step: (skipped, bound_raises)
@@ -1370,12 +1494,15 @@ def _observed(s):
     """What a later push or reader can observe of a session, but for times
     and the memo counters (a failed push leaves its compiles in the cache):
     its reports, tracks, placed nodes, each complete node with its stored
-    edges, and the explorer's counters of held edges, placements and bound."""
+    edges, the release queue, and the explorer's counters of held edges,
+    complete states, release credit, retired searches, placements and bound."""
     explorer = s.explorer
     return ([dataclasses.replace(r, **_UNTIMED) for r in s.reports], explorer.union_tracks,
             [(node.arity, node.depth) for node in explorer.by_id],
             [(node.arity, node.out) for node in explorer.by_id if node.complete],
-            explorer.held, explorer.placed, explorer.bound)
+            [(search, node.arity, node.out) for search, node in explorer.stored],
+            explorer.held, explorer.complete, explorer.credit, explorer.searches,
+            explorer.placed, explorer.bound)
 
 
 def _sat_stream(rng, length):
